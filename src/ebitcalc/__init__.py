@@ -7,155 +7,103 @@ certifies each count with the symplectic Gram-Schmidt pairing procedure
 and brute-force oracles.
 """
 
-from .errors import (
-    DegreeLimitError,
-    DependentRowsError,
-    EbitcalcError,
-    InternalInvariantError,
-    NonFiniteEntryError,
-    ParseError,
-    ShapeError,
-    SizeLimitError,
-    UnsupportedModulusError,
-)
-from .gf2 import BinMatrix, RowReduction, first_dependent_row, rank, row_reduce
-from .gf4 import (
-    GF4Matrix,
-    OMEGA,
-    OMEGA_BAR,
-    ONE,
-    ZERO,
-    gf4_add,
-    gf4_conj,
-    gf4_inv,
-    gf4_mul,
-    gf4_rank,
-    gf4_trace,
-)
-from .symplectic import (
-    CodeParameters,
-    QuantumCheckMatrix,
-    SgsopResult,
-    code_parameters,
-    ebit_count,
-    sgsop,
-    standard_form_matrix,
-    symplectic_gram_schmidt,
-    symplectic_product_matrix,
-    symplectic_product_table,
-)
-from .classical import (
-    css_construct,
-    css_ebits,
-    css_parameters,
-    gf4_ebits,
-    gf4_parameters,
-    gf4_symplectic_rows,
-    gf4_to_binary,
-)
-from .qudit import ModMatrix, mod_rank, qudit_ebits
-from .cv import DEFAULT_TOLERANCE, RealCheckMatrix, cv_ebit_count, numerical_rank
-from .laurent import (
-    LaurentCheckMatrix,
-    LaurentMatrix,
-    LaurentPoly,
-    MAX_EXPONENT,
-    conv_ebits,
-    css_conv_ebits,
-    gf4_conv_ebits,
-    laurent_rank,
-    shifted_symplectic_matrix,
-)
-from .verify import (
-    DEFAULT_SEED,
-    BinaryExtField,
-    SweepResult,
-    VerificationReport,
-    gf4_rank_by_span_enumeration,
-    laurent_rank_by_evaluation,
-    random_bin_matrix,
-    random_check_matrix,
-    random_full_rank_matrix,
-    random_gf4_matrix,
-    rank_by_span_enumeration,
-    rational_rank,
-    run_random_sweep,
-    verify_code,
-)
+import importlib
+
+# Public name -> defining submodule.  Names resolve on first access
+# (PEP 562), so ``import ebitcalc`` loads no submodule and a binary
+# command never pays for numpy.
+_EXPORTS = {
+    "errors": (
+        "DegreeLimitError",
+        "DependentRowsError",
+        "EbitcalcError",
+        "InternalInvariantError",
+        "NonFiniteEntryError",
+        "ParseError",
+        "ShapeError",
+        "SizeLimitError",
+        "UnsupportedModulusError",
+    ),
+    "gf2": ("BinMatrix", "RowReduction", "first_dependent_row", "rank", "row_reduce"),
+    "gf4": (
+        "GF4Matrix",
+        "OMEGA",
+        "OMEGA_BAR",
+        "ONE",
+        "ZERO",
+        "gf4_add",
+        "gf4_conj",
+        "gf4_inv",
+        "gf4_mul",
+        "gf4_rank",
+        "gf4_trace",
+    ),
+    "symplectic": (
+        "CodeParameters",
+        "QuantumCheckMatrix",
+        "SgsopResult",
+        "code_parameters",
+        "ebit_count",
+        "sgsop",
+        "standard_form_matrix",
+        "symplectic_gram_schmidt",
+        "symplectic_product_matrix",
+        "symplectic_product_table",
+    ),
+    "classical": (
+        "css_construct",
+        "css_ebits",
+        "css_parameters",
+        "gf4_ebits",
+        "gf4_parameters",
+        "gf4_symplectic_rows",
+        "gf4_to_binary",
+    ),
+    "qudit": ("ModMatrix", "mod_rank", "qudit_ebits"),
+    "cv": ("DEFAULT_TOLERANCE", "RealCheckMatrix", "cv_ebit_count", "numerical_rank"),
+    "laurent": (
+        "LaurentCheckMatrix",
+        "LaurentMatrix",
+        "LaurentPoly",
+        "MAX_EXPONENT",
+        "conv_ebits",
+        "css_conv_ebits",
+        "gf4_conv_ebits",
+        "laurent_rank",
+        "shifted_symplectic_matrix",
+    ),
+    "verify": (
+        "DEFAULT_SEED",
+        "BinaryExtField",
+        "SweepResult",
+        "VerificationReport",
+        "gf4_rank_by_span_enumeration",
+        "laurent_rank_by_evaluation",
+        "random_bin_matrix",
+        "random_check_matrix",
+        "random_full_rank_matrix",
+        "random_gf4_matrix",
+        "rank_by_span_enumeration",
+        "rational_rank",
+        "run_random_sweep",
+        "verify_code",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinMatrix",
-    "BinaryExtField",
-    "CodeParameters",
-    "DEFAULT_SEED",
-    "DEFAULT_TOLERANCE",
-    "DegreeLimitError",
-    "DependentRowsError",
-    "EbitcalcError",
-    "GF4Matrix",
-    "InternalInvariantError",
-    "LaurentCheckMatrix",
-    "LaurentMatrix",
-    "LaurentPoly",
-    "MAX_EXPONENT",
-    "ModMatrix",
-    "NonFiniteEntryError",
-    "OMEGA",
-    "OMEGA_BAR",
-    "ONE",
-    "ParseError",
-    "QuantumCheckMatrix",
-    "RealCheckMatrix",
-    "RowReduction",
-    "SgsopResult",
-    "ShapeError",
-    "SizeLimitError",
-    "SweepResult",
-    "UnsupportedModulusError",
-    "VerificationReport",
-    "ZERO",
-    "code_parameters",
-    "conv_ebits",
-    "css_construct",
-    "css_conv_ebits",
-    "css_ebits",
-    "css_parameters",
-    "cv_ebit_count",
-    "ebit_count",
-    "first_dependent_row",
-    "gf4_add",
-    "gf4_conj",
-    "gf4_conv_ebits",
-    "gf4_ebits",
-    "gf4_inv",
-    "gf4_mul",
-    "gf4_parameters",
-    "gf4_rank",
-    "gf4_rank_by_span_enumeration",
-    "gf4_symplectic_rows",
-    "gf4_to_binary",
-    "gf4_trace",
-    "laurent_rank",
-    "laurent_rank_by_evaluation",
-    "mod_rank",
-    "numerical_rank",
-    "qudit_ebits",
-    "random_bin_matrix",
-    "random_check_matrix",
-    "random_full_rank_matrix",
-    "random_gf4_matrix",
-    "rank",
-    "rank_by_span_enumeration",
-    "rational_rank",
-    "row_reduce",
-    "run_random_sweep",
-    "sgsop",
-    "shifted_symplectic_matrix",
-    "standard_form_matrix",
-    "symplectic_gram_schmidt",
-    "symplectic_product_matrix",
-    "symplectic_product_table",
-    "verify_code",
-]
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name: str):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

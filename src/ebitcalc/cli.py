@@ -13,21 +13,15 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import formats
-from .classical import css_parameters, gf4_parameters, gf4_to_binary
-from .cv import DEFAULT_TOLERANCE, RealCheckMatrix, cv_ebit_count
 from .errors import EbitcalcError, ParseError
-from .laurent import conv_ebits, css_conv_ebits, gf4_conv_ebits
-from .qudit import qudit_ebits
-from .symplectic import (
-    CodeParameters,
-    QuantumCheckMatrix,
-    code_parameters,
-    ebit_count,
-    symplectic_gram_schmidt,
-)
-from .verify import DEFAULT_SEED, run_random_sweep, verify_code
+
+# Each handler imports the modules it runs, so a binary command never
+# loads numpy or the other input kinds.
+if TYPE_CHECKING:
+    from .symplectic import CodeParameters, QuantumCheckMatrix
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,10 +69,18 @@ def _core(
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="ascii")
+    try:
+        return Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as err:
+        line = err.object.count(b"\n", 0, err.start) + 1
+        raise ParseError(
+            f"non-ASCII byte 0x{err.object[err.start]:02x} in {path}", line
+        ) from None
 
 
 def _load_check_matrix(path: str, reduce_rows: bool) -> QuantumCheckMatrix:
+    from .symplectic import QuantumCheckMatrix
+
     hz, hx = formats.parse_qcheck(_read(path))
     if reduce_rows:
         return QuantumCheckMatrix.reduced(hz, hx)
@@ -103,6 +105,8 @@ def _parameter_warnings(p: CodeParameters) -> list[str]:
 
 
 def _cmd_ebits(args) -> dict:
+    from .symplectic import ebit_count
+
     h = _load_check_matrix(args.file, args.reduce)
     c = ebit_count(h)
     return {
@@ -113,6 +117,8 @@ def _cmd_ebits(args) -> dict:
 
 
 def _cmd_params(args) -> dict:
+    from .symplectic import code_parameters
+
     h = _load_check_matrix(args.file, args.reduce)
     p = code_parameters(h)
     return {
@@ -131,6 +137,8 @@ def _cmd_params(args) -> dict:
 
 
 def _cmd_sgsop(args) -> dict:
+    from .symplectic import symplectic_gram_schmidt
+
     h = _load_check_matrix(args.file, args.reduce)
     result = symplectic_gram_schmidt(h)
     transform_rows = result.transform.to_strings()
@@ -166,6 +174,8 @@ def _cmd_sgsop(args) -> dict:
 
 
 def _cmd_css(args) -> dict:
+    from .classical import css_parameters
+
     h1 = formats.parse_gf2(_read(args.file1))
     h2 = formats.parse_gf2(_read(args.file2))
     if (args.d1 is None) != (args.d2 is None):
@@ -189,6 +199,8 @@ def _cmd_css(args) -> dict:
 
 
 def _cmd_gf4(args) -> dict:
+    from .classical import gf4_parameters
+
     h = formats.parse_gf4(_read(args.file))
     p = gf4_parameters(h)
     generators = p.n - p.logical + p.ebits
@@ -208,6 +220,8 @@ def _cmd_gf4(args) -> dict:
 
 
 def _cmd_gf4_expand(args) -> dict:
+    from .classical import gf4_to_binary
+
     h = formats.parse_gf4(_read(args.file))
     q = gf4_to_binary(h, drop_dependent=args.reduce)
     rendered = formats.format_qcheck(q.hz, q.hx).rstrip("\n")
@@ -225,6 +239,8 @@ def _cmd_gf4_expand(args) -> dict:
 
 
 def _cmd_qudit(args) -> dict:
+    from .qudit import qudit_ebits
+
     hz, hx = formats.parse_qcheckd(_read(args.file))
     c = qudit_ebits(hz, hx)
     return {
@@ -237,19 +253,24 @@ def _cmd_qudit(args) -> dict:
 
 
 def _cmd_cv(args) -> dict:
+    from .cv import DEFAULT_TOLERANCE, RealCheckMatrix, cv_ebit_count
+
+    tol = DEFAULT_TOLERANCE if args.tol is None else args.tol
+    if not tol >= 0:
+        raise _UsageError(f"--tol must be a nonnegative number, got {tol}")
     z, x = formats.parse_cvcheck(_read(args.file))
-    h = RealCheckMatrix(z, x, tolerance=args.tol)
+    h = RealCheckMatrix(z, x, tolerance=tol)
     c = cv_ebit_count(h)
     return {
-        "json": _core(
-            "cv", n=h.n, generators=h.generators, ebits=c, tolerance=args.tol
-        ),
+        "json": _core("cv", n=h.n, generators=h.generators, ebits=c, tolerance=tol),
         "text": [f"entangled modes: {c}"],
         "quiet": c,
     }
 
 
 def _cmd_conv(args) -> dict:
+    from .laurent import conv_ebits
+
     h = formats.parse_conv_pair(_read(args.file))
     c = conv_ebits(h)
     return {
@@ -262,6 +283,8 @@ def _cmd_conv(args) -> dict:
 
 
 def _cmd_conv4(args) -> dict:
+    from .laurent import gf4_conv_ebits
+
     m = formats.parse_conv_plain(_read(args.file), tag="conv4")
     c = gf4_conv_ebits(m)
     return {
@@ -274,6 +297,8 @@ def _cmd_conv4(args) -> dict:
 
 
 def _cmd_conv_css(args) -> dict:
+    from .laurent import css_conv_ebits
+
     m1 = formats.parse_conv_plain(_read(args.file1), tag="conv")
     m2 = formats.parse_conv_plain(_read(args.file2), tag="conv")
     c = css_conv_ebits(m1, m2)
@@ -291,12 +316,17 @@ def _cmd_conv_css(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
+    from .verify import DEFAULT_SEED, run_random_sweep, verify_code
+
     if (args.file is None) == (args.random is None):
         raise _UsageError("verify needs a file or --random <count>, not both")
     if args.random is not None:
         if args.max_n is None:
             raise _UsageError("--random needs --max-n")
-        sweep = run_random_sweep(args.random, args.max_n, seed=args.seed)
+        if args.random < 1 or args.max_n < 1:
+            raise _UsageError("--random and --max-n must be positive")
+        seed = DEFAULT_SEED if args.seed is None else args.seed
+        sweep = run_random_sweep(args.random, args.max_n, seed=seed)
         text = [
             f"cases: {sweep.cases}",
             f"seed: {sweep.seed}",
@@ -416,8 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tol",
         type=float,
-        default=DEFAULT_TOLERANCE,
-        help=f"relative rank tolerance (default {DEFAULT_TOLERANCE})",
+        help="relative rank tolerance (default: ebitcalc.cv.DEFAULT_TOLERANCE)",
     )
 
     p = sub.add_parser(
@@ -447,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, metavar="COUNT", help="run a random sweep")
     p.add_argument("--max-n", dest="max_n", type=int, help="largest qubit count")
     p.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help=f"sweep seed (default {DEFAULT_SEED})"
+        "--seed", type=int, help="sweep seed (default: ebitcalc.verify.DEFAULT_SEED)"
     )
 
     return parser

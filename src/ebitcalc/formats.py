@@ -7,13 +7,19 @@ comment and blank lines are ignored, so fixtures stay hand-editable.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ParseError
-from .gf2 import BinMatrix
-from .gf4 import GF4Matrix, SYMBOL_TO_VALUE
-from .laurent import LaurentCheckMatrix, LaurentMatrix, LaurentPoly
-from .qudit import ModMatrix
+from .gf2 import BinMatrix, bits_to_word
+
+# numpy and the non-binary matrix kinds load inside the parsers that need
+# them, so the binary commands never import numpy.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .gf4 import GF4Matrix
+    from .laurent import LaurentCheckMatrix, LaurentMatrix, LaurentPoly
+    from .qudit import ModMatrix
 
 __all__ = [
     "parse_gf2",
@@ -57,9 +63,14 @@ def _split_header(lines: list[tuple[int, str]], expected: str, ints: int) -> lis
             number,
         )
     try:
-        return [int(f) for f in fields[1:]]
+        values = [int(f) for f in fields[1:]]
     except ValueError:
         raise ParseError(f"non-integer field in '{expected}' header", number) from None
+    # every header ends in its row and column counts
+    for value in values[-2:]:
+        if value < 0:
+            raise ParseError(f"negative dimension {value} in '{expected}' header", number)
+    return values
 
 
 def _take_rows(lines: list[tuple[int, str]], count: int, what: str) -> list[tuple[int, str]]:
@@ -72,15 +83,13 @@ def _take_rows(lines: list[tuple[int, str]], count: int, what: str) -> list[tupl
     return body
 
 
-def _bits_from_string(chunk: str, width: int, number: int) -> list[int]:
+def _word(chunk: str, width: int, number: int) -> int:
     if len(chunk) != width:
         raise ParseError(f"expected {width} binary digits, got {len(chunk)}", number)
-    bits = []
-    for ch in chunk:
-        if ch not in "01":
-            raise ParseError(f"invalid binary digit {ch!r}", number)
-        bits.append(int(ch))
-    return bits
+    try:
+        return bits_to_word(chunk)
+    except ValueError as err:
+        raise ParseError(str(err), number) from None
 
 
 def parse_gf2(text: str) -> BinMatrix:
@@ -88,10 +97,7 @@ def parse_gf2(text: str) -> BinMatrix:
     lines = _logical_lines(text)
     rows, cols = _split_header(lines, "gf2", 2)
     body = _take_rows(lines, rows, "matrix")
-    return BinMatrix.from_rows(
-        [_bits_from_string(content, cols, number) for number, content in body],
-        cols=cols,
-    )
+    return BinMatrix(rows, cols, [_word(content, cols, number) for number, content in body])
 
 
 def parse_qcheck(text: str) -> tuple[BinMatrix, BinMatrix]:
@@ -103,21 +109,22 @@ def parse_qcheck(text: str) -> tuple[BinMatrix, BinMatrix]:
     lines = _logical_lines(text)
     generators, n = _split_header(lines, "qcheck", 2)
     body = _take_rows(lines, generators, "generator")
-    z_rows, x_rows = [], []
+    z_words, x_words = [], []
     for number, content in body:
         if content.count("|") != 1:
             raise ParseError("generator row needs exactly one '|'", number)
         z_part, x_part = (side.strip() for side in content.split("|"))
-        z_rows.append(_bits_from_string(z_part, n, number))
-        x_rows.append(_bits_from_string(x_part, n, number))
-    return (
-        BinMatrix.from_rows(z_rows, cols=n),
-        BinMatrix.from_rows(x_rows, cols=n),
-    )
+        z_words.append(_word(z_part, n, number))
+        x_words.append(_word(x_part, n, number))
+    return BinMatrix(generators, n, z_words), BinMatrix(generators, n, x_words)
 
 
 def parse_gf4(text: str) -> GF4Matrix:
     """Quaternary matrix: header ``gf4 <rows> <cols>`` then 0/1/w/v rows."""
+    import numpy as np
+
+    from .gf4 import GF4Matrix, SYMBOL_TO_VALUE
+
     lines = _logical_lines(text)
     rows, cols = _split_header(lines, "gf4", 2)
     body = _take_rows(lines, rows, "matrix")
@@ -146,6 +153,10 @@ def _residues(chunk: str, width: int, number: int) -> list[int]:
 
 def parse_zmod(text: str) -> ModMatrix:
     """Residue matrix: header ``zmod <d> <rows> <cols>`` then residue rows."""
+    import numpy as np
+
+    from .qudit import ModMatrix
+
     lines = _logical_lines(text)
     d, rows, cols = _split_header(lines, "zmod", 3)
     body = _take_rows(lines, rows, "matrix")
@@ -157,6 +168,10 @@ def parse_zmod(text: str) -> ModMatrix:
 
 def parse_qcheckd(text: str) -> tuple[ModMatrix, ModMatrix]:
     """Qudit generator set: ``qcheckd <d> <generators> <n>``, ``z | x`` rows."""
+    import numpy as np
+
+    from .qudit import ModMatrix
+
     lines = _logical_lines(text)
     d, generators, n = _split_header(lines, "qcheckd", 3)
     body = _take_rows(lines, generators, "generator")
@@ -175,6 +190,8 @@ def parse_qcheckd(text: str) -> tuple[ModMatrix, ModMatrix]:
 
 def parse_cvcheck(text: str) -> tuple[np.ndarray, np.ndarray]:
     """Real generator set: ``cvcheck <generators> <n>``, rows ``reals | reals``."""
+    import numpy as np
+
     lines = _logical_lines(text)
     generators, n = _split_header(lines, "cvcheck", 2)
     body = _take_rows(lines, generators, "generator")
@@ -212,6 +229,8 @@ def parse_poly(token: str, gf4: bool = False, line: int | None = None) -> Lauren
     GF(4) coefficient prefixes (``w*``, ``v*``, or bare ``w``/``v``) are
     accepted only when ``gf4`` is set.
     """
+    from .laurent import LaurentPoly
+
     compact = "".join(token.split())
     if not compact:
         raise ParseError("empty polynomial token", line)
@@ -262,6 +281,8 @@ def parse_conv_pair(text: str) -> LaurentCheckMatrix:
     Each row holds n comma-separated polynomials for the Z block, a
     literal ``|``, then n for the X block.
     """
+    from .laurent import LaurentCheckMatrix, LaurentMatrix
+
     lines = _logical_lines(text)
     generators, n = _split_header(lines, "conv", 2)
     body = _take_rows(lines, generators, "generator")
@@ -286,6 +307,8 @@ def parse_conv_plain(text: str, tag: str = "conv") -> LaurentMatrix:
     Used for classical convolutional parity checks; ``conv4`` rows may
     carry GF(4) coefficient prefixes.
     """
+    from .laurent import LaurentMatrix
+
     gf4 = tag == "conv4"
     lines = _logical_lines(text)
     rows, cols = _split_header(lines, tag, 2)

@@ -9,7 +9,7 @@ to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ShapeError
 
@@ -19,7 +19,31 @@ __all__ = [
     "row_reduce",
     "rank",
     "first_dependent_row",
+    "independent_flags",
+    "bits_to_word",
+    "word_to_bits",
 ]
+
+# Deletes the binary digits; whatever survives is not a 0/1 character.
+_STRIP_BINARY_DIGITS = str.maketrans("", "", "01")
+
+
+def bits_to_word(bits: str) -> int:
+    """Pack a string of '0'/'1' characters, character ``j`` into bit ``j``.
+
+    Raises ``ValueError`` naming the first character that is not a
+    binary digit.
+    """
+    stray = bits.translate(_STRIP_BINARY_DIGITS)
+    if stray:
+        raise ValueError(f"invalid binary digit {stray[0]!r}")
+    return int(bits[::-1], 2) if bits else 0
+
+
+def word_to_bits(word: int, cols: int) -> str:
+    """The ``cols`` low bits of ``word`` as '0'/'1' characters, bit ``j`` at index ``j``."""
+    # format(0, "00b") is "0", not "", so zero width needs its own case
+    return format(word, f"0{cols}b")[::-1] if cols else ""
 
 
 class BinMatrix:
@@ -67,7 +91,14 @@ class BinMatrix:
     @classmethod
     def from_strings(cls, lines: Sequence[str], cols: int | None = None) -> "BinMatrix":
         """Build from strings of '0'/'1' characters, one row per string."""
-        return cls.from_rows([[int(ch) for ch in line] for line in lines], cols=cols)
+        if cols is None:
+            cols = len(lines[0]) if lines else 0
+        words = []
+        for i, line in enumerate(lines):
+            if len(line) != cols:
+                raise ShapeError(f"row {i} has {len(line)} entries, expected {cols}")
+            words.append(bits_to_word(line))
+        return cls(len(words), cols, words)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BinMatrix":
@@ -92,21 +123,16 @@ class BinMatrix:
         return [[(word >> j) & 1 for j in range(self.cols)] for word in self._data]
 
     def to_strings(self) -> list[str]:
-        return [
-            "".join("1" if (word >> j) & 1 else "0" for j in range(self.cols))
-            for word in self._data
-        ]
+        return [word_to_bits(word, self.cols) for word in self._data]
 
     # -- algebra ------------------------------------------------------
 
     def transpose(self) -> "BinMatrix":
-        out = []
-        for j in range(self.cols):
-            word = 0
-            for i, row in enumerate(self._data):
-                word |= ((row >> j) & 1) << i
-            out.append(word)
-        return BinMatrix(self.cols, self.rows, out)
+        # zip(*strings) of no rows yields no columns at all
+        if not (self.rows and self.cols):
+            return BinMatrix.zeros(self.cols, self.rows)
+        columns = zip(*self.to_strings())
+        return BinMatrix(self.cols, self.rows, [bits_to_word("".join(c)) for c in columns])
 
     def __add__(self, other: "BinMatrix") -> "BinMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -228,11 +254,13 @@ def row_reduce(m: BinMatrix) -> RowReduction:
     )
 
 
-def rank(m: BinMatrix) -> int:
-    """Rank over GF(2); equals ``row_reduce(m).rank``."""
+def independent_flags(words: Iterable[int]) -> Iterator[bool]:
+    """For each packed row in turn, whether it lies outside the span of the rows before it.
+
+    Keeps an XOR basis keyed by leading bit; a zero row is dependent.
+    """
     basis: dict[int, int] = {}
-    for word in m._data:
-        w = word
+    for w in words:
         while w:
             p = w.bit_length() - 1
             found = basis.get(p)
@@ -240,7 +268,12 @@ def rank(m: BinMatrix) -> int:
                 basis[p] = w
                 break
             w ^= found
-    return len(basis)
+        yield bool(w)
+
+
+def rank(m: BinMatrix) -> int:
+    """Rank over GF(2); equals ``row_reduce(m).rank``."""
+    return sum(independent_flags(m._data))
 
 
 def first_dependent_row(m: BinMatrix) -> int | None:
@@ -248,16 +281,7 @@ def first_dependent_row(m: BinMatrix) -> int | None:
 
     A zero row is dependent by convention.
     """
-    basis: dict[int, int] = {}
-    for i, word in enumerate(m._data):
-        w = word
-        while w:
-            p = w.bit_length() - 1
-            found = basis.get(p)
-            if found is None:
-                basis[p] = w
-                break
-            w ^= found
-        else:
+    for i, independent in enumerate(independent_flags(m._data)):
+        if not independent:
             return i
     return None

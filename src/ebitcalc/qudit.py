@@ -17,19 +17,47 @@ from .errors import InternalInvariantError, ShapeError, UnsupportedModulusError
 __all__ = ["ModMatrix", "mod_rank", "qudit_ebits"]
 
 
+# The first 13 primes: as Miller-Rabin bases they admit no strong
+# pseudoprime below 3.3e24 (Sorenson & Webster 2015), far above int64.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(d: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for d < 3.3e24."""
     if d < 2:
         return False
-    if d < 4:
-        return True
-    if d % 2 == 0:
-        return False
-    f = 3
-    while f * f <= d:
-        if d % f == 0:
+    for p in _WITNESSES:
+        if d % p == 0:
+            return d == p
+    odd, twos = d - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for a in _WITNESSES:
+        x = pow(a, odd, d)
+        if x in (1, d - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % d
+            if x == d - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+_INT64_MAX = (1 << 63) - 1
+
+
+def _exact(arr: np.ndarray, d: int, terms: int = 1) -> np.ndarray:
+    """``arr`` in a dtype whose sums of ``terms`` residue products mod d are exact.
+
+    int64 while ``terms * (d - 1)**2`` fits, Python ints beyond that, so a
+    large prime modulus is slower but never wraps around.
+    """
+    if terms * (d - 1) ** 2 <= _INT64_MAX:
+        return arr
+    return arr.astype(object)
 
 
 class ModMatrix:
@@ -38,11 +66,18 @@ class ModMatrix:
     __slots__ = ("_entries", "modulus")
 
     def __init__(self, entries: np.ndarray | Sequence[Sequence[int]], modulus: int):
+        if modulus > _INT64_MAX:
+            raise UnsupportedModulusError(
+                f"modulus {modulus} does not fit the int64 residue storage"
+            )
         if not _is_prime(modulus):
             raise UnsupportedModulusError(
                 f"modulus {modulus} is not prime; rank over Z_d needs a field"
             )
-        arr = np.array(entries, dtype=np.int64) % modulus
+        try:
+            arr = np.array(entries, dtype=np.int64) % modulus
+        except OverflowError:  # an entry beyond int64: reduce it as a Python int
+            arr = (np.array(entries, dtype=object) % modulus).astype(np.int64)
         if arr.ndim != 2:
             raise ShapeError("ModMatrix needs a 2-D entry grid")
         arr.setflags(write=False)
@@ -70,8 +105,8 @@ class ModMatrix:
         return self._entries.copy()
 
     def scale_row(self, i: int, factor: int) -> "ModMatrix":
-        out = self.to_array()
-        out[i] = (out[i] * factor) % self.modulus
+        out = _exact(self.to_array(), self.modulus)
+        out[i] = (out[i] * (factor % self.modulus)) % self.modulus
         return ModMatrix(out, self.modulus)
 
     def __eq__(self, other: object) -> bool:
@@ -91,7 +126,7 @@ class ModMatrix:
 def mod_rank(m: ModMatrix) -> int:
     """Rank over the field Z_d via elimination with modular inverses."""
     d = m.modulus
-    work = m.to_array()
+    work = _exact(m.to_array(), d)
     nrows, ncols = work.shape
     pivot_row = 0
     for col in range(ncols):
@@ -126,8 +161,8 @@ def qudit_ebits(hz: ModMatrix, hx: ModMatrix) -> int:
     if (hz.rows, hz.cols) != (hx.rows, hx.cols):
         raise ShapeError("Z and X parts must have identical shape")
     d = hz.modulus
-    a = hz.to_array()
-    b = hx.to_array()
+    a = _exact(hz.to_array(), d, max(hz.cols, 1))
+    b = _exact(hx.to_array(), d, max(hx.cols, 1))
     omega = (b @ a.T - a @ b.T) % d
     if np.any((omega + omega.T) % d):
         raise InternalInvariantError("qudit product matrix is not antisymmetric")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DependentRowsError, InternalInvariantError, ShapeError
-from .gf2 import BinMatrix, first_dependent_row, rank
+from .gf2 import BinMatrix, first_dependent_row, independent_flags, rank
 
 __all__ = [
     "QuantumCheckMatrix",
@@ -101,18 +101,8 @@ class QuantumCheckMatrix:
         if (hz.rows, hz.cols) != (hx.rows, hx.cols):
             raise ShapeError("Z and X parts must have identical shape")
         stacked = hz.hstack(hx)
-        keep = []
-        basis: dict[int, int] = {}
-        for i in range(stacked.rows):
-            w = stacked.row_bits(i)
-            while w:
-                p = w.bit_length() - 1
-                found = basis.get(p)
-                if found is None:
-                    basis[p] = w
-                    keep.append(i)
-                    break
-                w ^= found
+        flags = independent_flags(stacked.row_bits(i) for i in range(stacked.rows))
+        keep = [i for i, independent in enumerate(flags) if independent]
         n = hz.cols
         return cls(
             BinMatrix(len(keep), n, (hz.row_bits(i) for i in keep)),

@@ -118,6 +118,15 @@ def test_qudit_composite_modulus_is_domain_error(capsys, tmp_path):
     assert "not prime" in err
 
 
+def test_qudit_large_modulus_counts_exactly(capsys, tmp_path):
+    # (d-1)^2 overflows int64 for d = 2^61 - 1; the pair still needs one edit
+    data = tmp_path / "m61.qcheckd"
+    data.write_text("qcheckd 2305843009213693951 2 1\n-1 | 0\n0 | -1\n")
+    code, out, _ = run(capsys, "qudit", str(data))
+    assert code == EXIT_OK
+    assert out.strip() == "edits: 1"
+
+
 def test_cv_command_with_tolerance(capsys):
     code, out, _ = run(capsys, "cv", str(DATA / "pair.cvcheck"))
     assert code == EXIT_OK
@@ -284,3 +293,62 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_non_ascii_input_is_parse_error(capsys, tmp_path):
+    f = tmp_path / "accent.qcheck"
+    f.write_bytes("qcheck 1 1\n1|0  # café\n".encode("utf-8"))
+    code, out, err = run(capsys, "ebits", str(f))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "line 2: non-ASCII byte 0xc3" in err
+
+
+def test_negative_header_dimension_is_parse_error(capsys, tmp_path):
+    f = tmp_path / "negative.gf2"
+    f.write_text("gf2 -1 3\n")
+    code, out, err = run(capsys, "css", str(f), str(f))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "negative dimension -1 in 'gf2' header" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("verify", "--random", "-5", "--max-n", "3"), "must be positive"),
+        (("verify", "--random", "2", "--max-n", "0"), "must be positive"),
+        (("cv", str(DATA / "pair.cvcheck"), "--tol", "nan"), "--tol must be a nonnegative"),
+        (("cv", str(DATA / "pair.cvcheck"), "--tol", "-1"), "--tol must be a nonnegative"),
+    ],
+)
+def test_bad_option_values_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ")
+    assert message in err
+
+
+def test_option_defaults_come_from_the_library(capsys):
+    from ebitcalc.cv import DEFAULT_TOLERANCE
+    from ebitcalc.verify import DEFAULT_SEED
+
+    obj = run_json(capsys, "cv", str(DATA / "pair.cvcheck"))
+    assert obj["tolerance"] == DEFAULT_TOLERANCE
+    obj = run_json(capsys, "verify", "--random", "2", "--max-n", "3")
+    assert obj["seed"] == DEFAULT_SEED
+
+
+def test_binary_commands_do_not_import_numpy():
+    qcheck = str(DATA / "fivequbit.qcheck")
+    script = (
+        "import sys\n"
+        "from ebitcalc.cli import main\n"
+        f"codes = [main([cmd, {qcheck!r}, '--json']) for cmd in ('ebits', 'params', 'sgsop')]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0] False"

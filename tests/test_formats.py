@@ -3,6 +3,8 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ebitcalc import BinMatrix, LaurentPoly, ParseError, UnsupportedModulusError
 from ebitcalc.formats import (
@@ -59,6 +61,48 @@ def test_qcheck_parse_and_round_trip():
     hz, hx = parse_qcheck((DATA / "fivequbit.qcheck").read_text())
     assert hz.rows == 4 and hz.cols == 5
     assert parse_qcheck(format_qcheck(hz, hx)) == (hz, hx)
+
+
+@st.composite
+def check_pairs(draw):
+    generators = draw(st.integers(0, 8))
+    n = draw(st.integers(0, 8))
+    words = st.lists(st.integers(0, (1 << n) - 1), min_size=generators, max_size=generators)
+    return BinMatrix(generators, n, draw(words)), BinMatrix(generators, n, draw(words))
+
+
+@settings(derandomize=True, max_examples=150)
+@given(check_pairs())
+@example((BinMatrix.zeros(0, 3), BinMatrix.zeros(0, 3)))
+@example((BinMatrix.zeros(3, 0), BinMatrix.zeros(3, 0)))
+@example((BinMatrix(1, 1, [1]), BinMatrix(1, 1, [0])))
+def test_qcheck_round_trip_property(pair):
+    z, x = pair
+    assert parse_qcheck(format_qcheck(z, x)) == (z, x)
+
+
+def test_binary_rows_report_first_invalid_digit():
+    with pytest.raises(ParseError, match=r"line 2: invalid binary digit 'x'"):
+        parse_gf2("gf2 1 4\n1x0y\n")
+    with pytest.raises(ParseError, match=r"line 2: invalid binary digit ' '"):
+        parse_qcheck("qcheck 1 3\n1 0|001\n")
+    with pytest.raises(ParseError, match=r"line 2: invalid binary digit '_'"):
+        parse_gf2("gf2 1 3\n1_0\n")
+
+
+@pytest.mark.parametrize(
+    "parse,text",
+    [
+        (parse_gf2, "gf2 -1 3\n"),
+        (parse_gf2, "gf2 1 -3\n101\n"),
+        (parse_qcheck, "qcheck -2 1\n"),
+        (parse_gf4, "gf4 0 -1\n"),
+        (parse_qcheckd, "qcheckd 3 1 -1\n1 | 0\n"),
+    ],
+)
+def test_negative_header_dimension_rejected(parse, text):
+    with pytest.raises(ParseError, match="line 1: negative dimension"):
+        parse(text)
 
 
 def test_qcheck_requires_separator():

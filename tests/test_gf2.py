@@ -3,9 +3,36 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ebitcalc import BinMatrix, ShapeError, first_dependent_row, rank, row_reduce
+from ebitcalc.gf2 import bits_to_word, word_to_bits
 from ebitcalc.verify import random_bin_matrix, rank_by_span_enumeration
+
+
+@st.composite
+def bin_matrices(draw, max_side=9):
+    rows = draw(st.integers(0, max_side))
+    cols = draw(st.integers(0, max_side))
+    words = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    return BinMatrix(rows, cols, words)
+
+
+# Empty and single-entry shapes are tried on every run, not left to chance.
+EDGE_SHAPES = [
+    BinMatrix.zeros(0, 4),
+    BinMatrix.zeros(4, 0),
+    BinMatrix.zeros(0, 0),
+    BinMatrix(1, 1, [0]),
+    BinMatrix(1, 1, [1]),
+]
+
+
+def with_edge_shapes(test):
+    for m in EDGE_SHAPES:
+        test = example(m)(test)
+    return test
 
 # Constant 5x5 matrix reused across modules: ones at (0,1),(1,0),(3,4),(4,3).
 SHIFTED_5X5 = [
@@ -168,3 +195,64 @@ def test_bad_entries_rejected():
         BinMatrix(1, 2, [4])  # bit outside the two columns
     with pytest.raises(ShapeError):
         BinMatrix.from_rows([[1, 0], [1]])
+
+
+def test_bits_and_words_round_trip():
+    assert bits_to_word("") == 0
+    assert bits_to_word("1") == 1
+    assert bits_to_word("0010") == 4  # character j is bit j
+    assert word_to_bits(4, 4) == "0010"
+    assert word_to_bits(0, 0) == ""
+    assert word_to_bits(0, 3) == "000"
+
+
+def test_bits_to_word_names_first_stray_character():
+    with pytest.raises(ValueError, match="invalid binary digit 'x'"):
+        bits_to_word("01x1y")
+    # int(..., 2) alone would accept all of these
+    for text in (" 1", "1_0", "+1", "0b1", "-1"):
+        with pytest.raises(ValueError, match="invalid binary digit"):
+            bits_to_word(text)
+
+
+def test_from_strings_rejects_bad_rows():
+    with pytest.raises(ShapeError):
+        BinMatrix.from_strings(["10", "1"])
+    with pytest.raises(ValueError):
+        BinMatrix.from_strings(["12"])
+    assert BinMatrix.from_strings([]) == BinMatrix.zeros(0, 0)
+    assert BinMatrix.from_strings([], cols=3) == BinMatrix.zeros(0, 3)
+
+
+def test_transpose_of_empty_shapes():
+    assert BinMatrix.zeros(0, 3).transpose() == BinMatrix.zeros(3, 0)
+    assert BinMatrix.zeros(3, 0).transpose() == BinMatrix.zeros(0, 3)
+    assert BinMatrix.zeros(0, 0).transpose() == BinMatrix.zeros(0, 0)
+
+
+@settings(derandomize=True, max_examples=150)
+@given(bin_matrices())
+@with_edge_shapes
+def test_transpose_involution_property(m):
+    assert m.transpose().transpose() == m
+
+
+@settings(derandomize=True, max_examples=150)
+@given(bin_matrices())
+@with_edge_shapes
+def test_transpose_swaps_entries(m):
+    t = m.transpose()
+    assert (t.rows, t.cols) == (m.cols, m.rows)
+    for i in range(m.rows):
+        for j in range(m.cols):
+            assert t.entry(j, i) == m.entry(i, j)
+
+
+@settings(derandomize=True, max_examples=150)
+@given(bin_matrices())
+@with_edge_shapes
+def test_strings_round_trip_property(m):
+    strings = m.to_strings()
+    assert all(len(line) == m.cols for line in strings)
+    assert BinMatrix.from_strings(strings, cols=m.cols) == m
+    assert strings == ["".join(map(str, row)) for row in m.to_rows()]

@@ -1,6 +1,7 @@
 """Tests for edit counts over prime moduli."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -42,6 +43,111 @@ def test_composite_modulus_rejected():
     for d in (4, 6, 9, 1, 0):
         with pytest.raises(UnsupportedModulusError):
             ModMatrix.from_rows([[1]], d)
+
+
+def test_primality_is_exact_on_small_moduli():
+    primes = [d for d in range(2, 2000) if all(d % f for f in range(2, int(d**0.5) + 1))]
+    accepted = []
+    for d in range(2000):
+        try:
+            ModMatrix.from_rows([[1]], d)
+        except UnsupportedModulusError:
+            continue
+        accepted.append(d)
+    assert accepted == primes
+
+
+def test_pseudoprime_moduli_rejected():
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to bases 2, 3, 5, 7
+    for d in (561, 3215031751):
+        with pytest.raises(UnsupportedModulusError):
+            ModMatrix.from_rows([[1]], d)
+
+
+def test_large_prime_modulus_is_fast():
+    start = time.perf_counter()
+    m = ModMatrix([[1]], 2**61 - 1)
+    assert time.perf_counter() - start < 1.0
+    assert m.modulus == 2**61 - 1
+
+
+def test_modulus_beyond_int64_rejected():
+    with pytest.raises(UnsupportedModulusError, match="int64"):
+        ModMatrix([[1]], 2**89 - 1)  # prime
+
+
+def _python_rank(rows, d):
+    """Rank over Z_d by elimination on Python ints, which cannot overflow."""
+    work = [[v % d for v in row] for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        hit = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if hit is None:
+            continue
+        work[rank], work[hit] = work[hit], work[rank]
+        inv = pow(work[rank][col], -1, d)
+        work[rank] = [v * inv % d for v in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                f = work[r][col]
+                work[r] = [(v - f * p) % d for v, p in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
+def test_large_modulus_products_do_not_wrap():
+    # omega[0, 1] = -(d-1)^2 = -1 mod d, but (d-1)^2 wraps to 4d in int64
+    d = 2**61 - 1
+    hz = ModMatrix.from_rows([[-1], [0]], d)
+    hx = ModMatrix.from_rows([[0], [-1]], d)
+    assert qudit_ebits(hz, hx) == 1
+    assert mod_rank(ModMatrix.from_rows([[d - 1, d - 1], [1, d - 1]], d)) == 2
+    # each product fits int64 at this d, but their sum (d-1)^2 + (d-2)(d+1)/2,
+    # which is 0 mod d, does not: wrapped, it would read as one edit
+    d = 3037000493
+    hz = ModMatrix.from_rows([[d - 1, d - 2], [0, 0]], d)
+    hx = ModMatrix.from_rows([[0, 0], [d - 1, (d + 1) // 2]], d)
+    assert qudit_ebits(hz, hx) == 0
+
+
+# 3037000493 is the largest prime with (d-1)^2 in int64, so one column stays
+# int64 and two do not; 2**63 - 25 is the largest prime the storage accepts.
+@pytest.mark.parametrize("d", [3037000493, 2**61 - 1, 2**63 - 25])
+@pytest.mark.parametrize("seed", range(6))
+def test_large_modulus_agrees_with_python_ints(d, seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    generators = rng.randint(1, 2 * n)
+    pick = lambda: rng.choice([0, 1, d - 1, d - 2, rng.randrange(d)])  # noqa: E731
+    z = [[pick() for _ in range(n)] for _ in range(generators)]
+    x = [[pick() for _ in range(n)] for _ in range(generators)]
+    omega = [
+        [sum(a * b - c * e for c, a, b, e in zip(z[i], x[i], z[j], x[j])) for j in range(generators)]
+        for i in range(generators)
+    ]
+    count = qudit_ebits(ModMatrix.from_rows(z, d), ModMatrix.from_rows(x, d))
+    assert count == _python_rank(omega, d) // 2
+    assert mod_rank(ModMatrix.from_rows(z, d)) == _python_rank(z, d)
+    factor = pick() or 1
+    scaled = ModMatrix.from_rows(z, d).scale_row(0, factor)
+    assert [scaled.entry(0, j) for j in range(n)] == [v * factor % d for v in z[0]]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_proportional_rows_commute_at_large_modulus(seed):
+    # row 2 = 2 * row 1, so the exact product matrix is zero
+    d = 3037000493
+    rng = random.Random(seed)
+    z = [rng.randrange(d) for _ in range(40)]
+    x = [rng.randrange(d) for _ in range(40)]
+    hz = ModMatrix.from_rows([z, [2 * v for v in z]], d)
+    hx = ModMatrix.from_rows([x, [2 * v for v in x]], d)
+    assert qudit_ebits(hz, hx) == 0
+
+
+def test_entries_beyond_int64_reduced_mod_d():
+    m = ModMatrix.from_rows([[10**30, -(10**30)]], 7)
+    assert (m.entry(0, 0), m.entry(0, 1)) == (10**30 % 7, -(10**30) % 7)
 
 
 def test_shape_and_modulus_mismatch():
