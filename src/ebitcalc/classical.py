@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .errors import ShapeError
 from .gf2 import BinMatrix, rank
-from .gf4 import GF4Matrix, OMEGA, OMEGA_BAR, gf4_rank, _MUL
+from .gf4 import GF4Matrix, gf4_rank
 from .symplectic import CodeParameters, QuantumCheckMatrix
 
 __all__ = [
@@ -45,6 +45,8 @@ def css_ebits(h1: BinMatrix, h2: BinMatrix) -> int:
         raise ShapeError(
             f"parity checks have different lengths: {h1.cols} vs {h2.cols}"
         )
+    if not (h1.rows and h2.rows):  # an empty side's transpose has a row per column
+        return 0
     return rank(h1 @ h2.transpose())
 
 
@@ -73,34 +75,16 @@ def css_parameters(
     )
 
 
-# Bit decomposition of a GF(4) element over the basis {w, v}: the w
-# coefficient feeds the X part, the v coefficient the Z part.
-_X_COEFF = (0, 1, 1, 0)
-_Z_COEFF = (0, 1, 0, 1)
-
-
 def gf4_symplectic_rows(h: GF4Matrix) -> tuple[BinMatrix, BinMatrix]:
     """Raw binary (Z, X) expansion of the stacked [w*H; v*H] block.
 
     No generator-set validation happens here; see :func:`gf4_to_binary`.
     """
-    z_words = []
-    x_words = []
-    for scale in (OMEGA, OMEGA_BAR):
-        row_mul = _MUL[scale]
-        for i in range(h.rows):
-            z_word = 0
-            x_word = 0
-            for j in range(h.cols):
-                e = row_mul[h.entry(i, j)]
-                z_word |= _Z_COEFF[e] << j
-                x_word |= _X_COEFF[e] << j
-            z_words.append(z_word)
-            x_words.append(x_word)
-    return (
-        BinMatrix(2 * h.rows, h.cols, z_words),
-        BinMatrix(2 * h.rows, h.cols, x_words),
-    )
+    # An entry x*w + z*v expands to the bit pair (Z, X) = (z, x).  With
+    # a + wb = (a + b)w + av, a matrix lo + w*hi has Z = lo and X = lo + hi;
+    # w*H has planes (hi, lo + hi) and v*H has planes (lo + hi, lo).
+    lo_plus_hi = h.lo + h.hi
+    return h.hi.vstack(lo_plus_hi), h.lo.vstack(h.hi)
 
 
 def gf4_to_binary(h: GF4Matrix, drop_dependent: bool = False) -> QuantumCheckMatrix:
@@ -117,6 +101,8 @@ def gf4_to_binary(h: GF4Matrix, drop_dependent: bool = False) -> QuantumCheckMat
 
 def gf4_ebits(h: GF4Matrix) -> int:
     """Ebits consumed by the quaternary import: rank over GF(4) of H @ H†."""
+    if not h.rows:  # H† would hold one empty row per column
+        return 0
     return gf4_rank(h @ h.conj_transpose())
 
 

@@ -83,6 +83,21 @@ def _take_rows(lines: list[tuple[int, str]], count: int, what: str) -> list[tupl
     return body
 
 
+def _take_matrix_rows(
+    text: str, lines: list[tuple[int, str]], rows: int, cols: int
+) -> list[tuple[int, str]]:
+    """Body rows of a ``gf2`` or ``gf4`` matrix."""
+    # A 0-column row is a blank line, which _logical_lines drops; count raw
+    # lines instead, so the file still holds one line per row.
+    if cols or len(lines) > 1:
+        return _take_rows(lines, rows, "matrix")
+    header = lines[0][0]
+    found = len(text.splitlines()) - header
+    if found < rows:
+        raise ParseError(f"expected {rows} matrix rows, found {found}")
+    return [(header + 1 + i, "") for i in range(rows)]
+
+
 def _word(chunk: str, width: int, number: int) -> int:
     if len(chunk) != width:
         raise ParseError(f"expected {width} binary digits, got {len(chunk)}", number)
@@ -96,7 +111,7 @@ def parse_gf2(text: str) -> BinMatrix:
     """Binary matrix: header ``gf2 <rows> <cols>`` then 0/1 rows."""
     lines = _logical_lines(text)
     rows, cols = _split_header(lines, "gf2", 2)
-    body = _take_rows(lines, rows, "matrix")
+    body = _take_matrix_rows(text, lines, rows, cols)
     return BinMatrix(rows, cols, [_word(content, cols, number) for number, content in body])
 
 
@@ -121,24 +136,19 @@ def parse_qcheck(text: str) -> tuple[BinMatrix, BinMatrix]:
 
 def parse_gf4(text: str) -> GF4Matrix:
     """Quaternary matrix: header ``gf4 <rows> <cols>`` then 0/1/w/v rows."""
-    import numpy as np
-
-    from .gf4 import GF4Matrix, SYMBOL_TO_VALUE
+    from .gf4 import GF4Matrix, check_symbols
 
     lines = _logical_lines(text)
     rows, cols = _split_header(lines, "gf4", 2)
-    body = _take_rows(lines, rows, "matrix")
-    grid = []
+    body = _take_matrix_rows(text, lines, rows, cols)
     for number, content in body:
         if len(content) != cols:
             raise ParseError(f"expected {cols} symbols, got {len(content)}", number)
-        row = []
-        for ch in content:
-            if ch not in SYMBOL_TO_VALUE:
-                raise ParseError(f"invalid GF(4) symbol {ch!r}", number)
-            row.append(SYMBOL_TO_VALUE[ch])
-        grid.append(row)
-    return GF4Matrix(grid if grid else np.zeros((0, cols), dtype=np.uint8))
+        try:
+            check_symbols(content)
+        except ValueError as err:
+            raise ParseError(str(err), number) from None
+    return GF4Matrix.from_strings([content for _, content in body], cols)
 
 
 def _residues(chunk: str, width: int, number: int) -> list[int]:

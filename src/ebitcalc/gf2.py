@@ -60,9 +60,8 @@ class BinMatrix:
         words = tuple(data)
         if len(words) != rows:
             raise ShapeError(f"expected {rows} packed rows, got {len(words)}")
-        limit = 1 << cols
         for i, word in enumerate(words):
-            if not 0 <= word < limit:
+            if word < 0 or word.bit_length() > cols:
                 raise ShapeError(f"row {i} has bits outside {cols} columns")
         self.rows = rows
         self.cols = cols
@@ -228,6 +227,8 @@ def row_reduce(m: BinMatrix) -> RowReduction:
     pivots: list[int] = []
     pivot_row = 0
     for col in range(m.cols):
+        if pivot_row == m.rows:
+            break
         hit = None
         for r in range(pivot_row, m.rows):
             if (data[r] >> col) & 1:
@@ -244,8 +245,6 @@ def row_reduce(m: BinMatrix) -> RowReduction:
                 trans[r] ^= trans[pivot_row]
         pivots.append(col)
         pivot_row += 1
-        if pivot_row == m.rows:
-            break
     return RowReduction(
         reduced=BinMatrix(m.rows, m.cols, data),
         transform=BinMatrix(m.rows, m.rows, trans),

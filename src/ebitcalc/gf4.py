@@ -1,18 +1,23 @@
-"""GF(4) scalar arithmetic and dense quaternary matrices.
+"""GF(4) scalar arithmetic and quaternary matrices stored as two GF(2) bit planes.
 
 Field elements are plain ints 0..3 encoding {0, 1, w, v} where ``w`` is a
-primitive cube root of unity and ``v = w + 1 = w*w`` its conjugate.
-Addition is XOR; multiplication is a 16-entry table; conjugation is
-squaring.  Matrices wrap read-only numpy uint8 arrays.
+primitive cube root of unity and ``v = w + 1 = w*w`` its conjugate.  The
+code of ``a + w*b`` is ``a | b << 1``: the isomorphism GF(4) = GF(2)^2.
+Addition is XOR; scalar multiplication is a 16-entry table; conjugation
+is squaring.
+
+A matrix ``M = lo + w*hi`` keeps its two coefficient planes as
+:class:`~ebitcalc.gf2.BinMatrix` values, so every matrix operation is
+word-parallel GF(2) work on packed rows, in the spirit of the M4RIE
+library (Albrecht, ISSAC 2012).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ShapeError
+from .gf2 import BinMatrix, rank
 
 __all__ = [
     "ZERO",
@@ -41,11 +46,12 @@ _INV = (None, 1, 3, 2)
 _CONJ = (0, 1, 3, 2)
 _TRACE = (0, 0, 1, 1)
 
-MUL_TABLE = np.array(_MUL, dtype=np.uint8)
-CONJ_TABLE = np.array(_CONJ, dtype=np.uint8)
-
 _SYMBOLS = "01wv"
-SYMBOL_TO_VALUE = {ch: i for i, ch in enumerate(_SYMBOLS)}
+# Each symbol's coefficient of 1 (lo plane) and of w (hi plane) as a binary digit.
+_LO_DIGITS = str.maketrans(_SYMBOLS, "0101")
+_HI_DIGITS = str.maketrans(_SYMBOLS, "0011")
+# Deletes the symbols; whatever survives is not a GF(4) symbol.
+_STRIP_SYMBOLS = str.maketrans("", "", _SYMBOLS)
 
 
 def gf4_add(a: int, b: int) -> int:
@@ -72,85 +78,103 @@ def gf4_trace(a: int) -> int:
     return _TRACE[a]
 
 
+def check_symbols(line: str) -> None:
+    """Raise ``ValueError`` naming the first character of ``line`` that is not 0, 1, w or v."""
+    stray = line.translate(_STRIP_SYMBOLS)
+    if stray:
+        raise ValueError(f"invalid GF(4) symbol {stray[0]!r}")
+
+
 class GF4Matrix:
-    """Immutable rectangular matrix over GF(4)."""
+    """Immutable rectangular matrix over GF(4): ``lo + w*hi`` with binary planes."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("lo", "hi")
 
-    def __init__(self, entries: np.ndarray | Sequence[Sequence[int]]):
-        arr = np.array(entries, dtype=np.uint8)
-        if arr.ndim != 2:
-            raise ShapeError("GF4Matrix needs a 2-D entry grid")
-        if arr.size and arr.max() > 3:
+    def __init__(self, entries: Sequence[Sequence[int]]):
+        """Build from nested sequences of entries 0..3."""
+        rows = [list(row) for row in entries]
+        if not all(v in (0, 1, 2, 3) for row in rows for v in row):
             raise ValueError("GF(4) entries must be in 0..3")
-        arr.setflags(write=False)
-        self._entries = arr
+        self.lo = BinMatrix.from_rows([[v & 1 for v in row] for row in rows])
+        self.hi = BinMatrix.from_rows([[v >> 1 for v in row] for row in rows])
+
+    @classmethod
+    def from_planes(cls, lo: BinMatrix, hi: BinMatrix) -> "GF4Matrix":
+        """The matrix ``lo + w*hi``; both planes must have the same shape."""
+        if (lo.rows, lo.cols) != (hi.rows, hi.cols):
+            raise ShapeError("GF(4) planes must have identical shape")
+        m = cls.__new__(cls)
+        m.lo, m.hi = lo, hi
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "GF4Matrix":
-        return cls(rows if rows else np.zeros((0, 0), dtype=np.uint8))
+        return cls(rows)
 
     @classmethod
-    def from_strings(cls, lines: Sequence[str]) -> "GF4Matrix":
-        """Build from strings over the alphabet 0, 1, w, v."""
-        rows = [[SYMBOL_TO_VALUE[ch] for ch in line] for line in lines]
-        return cls.from_rows(rows)
+    def from_strings(cls, lines: Sequence[str], cols: int | None = None) -> "GF4Matrix":
+        """Build from strings over the alphabet 0, 1, w, v, one row per string."""
+        for line in lines:
+            check_symbols(line)
+        return cls.from_planes(
+            BinMatrix.from_strings([line.translate(_LO_DIGITS) for line in lines], cols),
+            BinMatrix.from_strings([line.translate(_HI_DIGITS) for line in lines], cols),
+        )
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "GF4Matrix":
-        return cls(np.zeros((rows, cols), dtype=np.uint8))
+        return cls.from_planes(BinMatrix.zeros(rows, cols), BinMatrix.zeros(rows, cols))
 
     @classmethod
     def identity(cls, n: int) -> "GF4Matrix":
-        return cls(np.eye(n, dtype=np.uint8))
+        return cls.from_planes(BinMatrix.identity(n), BinMatrix.zeros(n, n))
 
     @property
     def rows(self) -> int:
-        return self._entries.shape[0]
+        return self.lo.rows
 
     @property
     def cols(self) -> int:
-        return self._entries.shape[1]
+        return self.lo.cols
 
     def entry(self, i: int, j: int) -> int:
-        return int(self._entries[i, j])
-
-    def to_array(self) -> np.ndarray:
-        return self._entries.copy()
+        return self.lo.entry(i, j) | self.hi.entry(i, j) << 1
 
     def transpose(self) -> "GF4Matrix":
-        return GF4Matrix(self._entries.T)
+        return GF4Matrix.from_planes(self.lo.transpose(), self.hi.transpose())
 
     def conj(self) -> "GF4Matrix":
-        return GF4Matrix(CONJ_TABLE[self._entries])
+        # conj(a + wb) = a + vb = (a + b) + wb
+        return GF4Matrix.from_planes(self.lo + self.hi, self.hi)
 
     def conj_transpose(self) -> "GF4Matrix":
-        return GF4Matrix(CONJ_TABLE[self._entries].T)
+        return self.conj().transpose()
 
     def __add__(self, other: "GF4Matrix") -> "GF4Matrix":
-        if self._entries.shape != other._entries.shape:
+        if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("cannot add GF(4) matrices of different shapes")
-        return GF4Matrix(self._entries ^ other._entries)
+        return GF4Matrix.from_planes(self.lo + other.lo, self.hi + other.hi)
 
     def __matmul__(self, other: "GF4Matrix") -> "GF4Matrix":
         if self.cols != other.rows:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        if self.rows == 0 or other.cols == 0 or self.cols == 0:
-            return GF4Matrix.zeros(self.rows, other.cols)
-        products = MUL_TABLE[self._entries[:, :, None], other._entries[None, :, :]]
-        return GF4Matrix(np.bitwise_xor.reduce(products, axis=1))
+        # (A0 + wA1)(B0 + wB1) = (A0B0 + A1B1) + w(A0B1 + A1B0 + A1B1) since
+        # w^2 = 1 + w; the w part is (A0 + A1)(B0 + B1) + A0B0, so three
+        # GF(2) products suffice.
+        low = self.lo @ other.lo
+        high = self.hi @ other.hi
+        mixed = (self.lo + self.hi) @ (other.lo + other.hi)
+        return GF4Matrix.from_planes(low + high, mixed + low)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GF4Matrix):
             return NotImplemented
-        return self._entries.shape == other._entries.shape and bool(
-            np.array_equal(self._entries, other._entries)
-        )
+        return (self.lo, self.hi) == (other.lo, other.hi)
 
     def __hash__(self) -> int:
-        return hash((self._entries.shape, self._entries.tobytes()))
+        return hash((self.lo, self.hi))
 
     def __repr__(self) -> str:
         return f"GF4Matrix({self.rows}x{self.cols})"
@@ -159,36 +183,18 @@ class GF4Matrix:
         if self.rows == 0 or self.cols == 0:
             return repr(self)
         return "\n".join(
-            "".join(_SYMBOLS[v] for v in row) for row in self._entries
+            "".join(_SYMBOLS[int(a) | int(b) << 1] for a, b in zip(lo, hi))
+            for lo, hi in zip(self.lo.to_strings(), self.hi.to_strings())
         )
 
 
 def gf4_rank(m: GF4Matrix) -> int:
-    """Rank over GF(4) by Gaussian elimination.
+    """Rank over GF(4): half the GF(2) rank of the rows of M and w*M.
 
-    Same deterministic pivot rule as the GF(2) routines: sweep columns
-    left to right, swap the first unprocessed row holding a nonzero
-    entry up, scale it to 1, clear the column everywhere else.
+    Written as ``lo | hi`` bit pairs, those rows span the row space of M
+    as a GF(2) space, whose dimension is twice the GF(4) rank, so the
+    one GF(2) elimination kernel serves both fields.
     """
-    work = m.to_array()
-    nrows, ncols = work.shape
-    pivot_row = 0
-    for col in range(ncols):
-        hit = None
-        for r in range(pivot_row, nrows):
-            if work[r, col]:
-                hit = r
-                break
-        if hit is None:
-            continue
-        if hit != pivot_row:
-            work[[pivot_row, hit]] = work[[hit, pivot_row]]
-        inv = _INV[work[pivot_row, col]]
-        work[pivot_row] = MUL_TABLE[inv, work[pivot_row]]
-        for r in range(nrows):
-            if r != pivot_row and work[r, col]:
-                work[r] ^= MUL_TABLE[work[r, col], work[pivot_row]]
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return pivot_row
+    lo, hi = m.lo, m.hi
+    # w(a + wb) = b + w(a + b)
+    return rank(lo.hstack(hi).vstack(hi.hstack(lo + hi))) // 2

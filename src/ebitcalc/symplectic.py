@@ -125,6 +125,8 @@ def symplectic_product_table(hz: BinMatrix, hx: BinMatrix) -> BinMatrix:
     """
     if (hz.rows, hz.cols) != (hx.rows, hx.cols):
         raise ShapeError("Z and X parts must have identical shape")
+    if not hz.rows:  # hz.transpose() would hold one empty row per column
+        return BinMatrix.zeros(0, 0)
     half = hx @ hz.transpose()
     return half + half.transpose()
 

@@ -341,14 +341,68 @@ def test_option_defaults_come_from_the_library(capsys):
 
 
 def test_binary_commands_do_not_import_numpy():
-    qcheck = str(DATA / "fivequbit.qcheck")
+    # Only qudit, cv and verify need numpy.
+    commands = [
+        [cmd, str(DATA / "fivequbit.qcheck")] for cmd in ("ebits", "params", "sgsop")
+    ] + [
+        ["gf4", str(DATA / "example.gf4")],
+        ["gf4-expand", str(DATA / "example.gf4")],
+        ["css", str(DATA / "hamming74.gf2"), str(DATA / "hamming74.gf2")],
+        ["conv", str(DATA / "conv5x5.conv")],
+        ["conv4", str(DATA / "hd.conv4")],
+        ["conv-css", str(DATA / "h1mat.conv"), str(DATA / "h2mat.conv")],
+    ]
     script = (
         "import sys\n"
         "from ebitcalc.cli import main\n"
-        f"codes = [main([cmd, {qcheck!r}, '--json']) for cmd in ('ebits', 'params', 'sgsop')]\n"
+        f"codes = [main([*argv, '--json']) for argv in {commands!r}]\n"
         "print(codes, 'numpy' in sys.modules)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
-    assert result.stdout.splitlines()[-1] == "[0, 0, 0] False"
+    assert result.stdout.splitlines()[-1] == f"{[0] * len(commands)} False"
+
+
+HEADER_ONLY_COLUMNS = 10**7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ebits", "empty.qcheck"),
+        ("params", "empty.qcheck"),
+        ("verify", "empty.qcheck"),
+        ("css", "empty.gf2", "empty.gf2"),
+        ("gf4", "empty.gf4"),
+    ],
+)
+def test_header_only_input_costs_nothing_per_column(tmp_path, argv):
+    # Each file is a header with no rows over 10^7 columns.  A warm-up run
+    # on one column loads every module first, so the traced peak counts
+    # only the per-column work; the timeout keeps a regression from hanging.
+    runs = []
+    for columns in (1, HEADER_ONLY_COLUMNS):
+        folder = tmp_path / str(columns)
+        folder.mkdir()
+        for kind in ("qcheck", "gf2", "gf4"):
+            (folder / f"empty.{kind}").write_text(f"{kind} 0 {columns}\n")
+        runs.append([argv[0], *(str(folder / name) for name in argv[1:])])
+    script = (
+        "import tracemalloc\n"
+        "from ebitcalc.cli import main\n"
+        f"warm = main({runs[0]!r})\n"
+        "tracemalloc.start()\n"
+        f"code = main({runs[1]!r})\n"
+        "print(warm, code, tracemalloc.get_traced_memory()[1])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    warm, code, peak = map(int, result.stdout.splitlines()[-1].split())
+    assert (warm, code) == (EXIT_OK, EXIT_OK)
+    assert peak < 1_000_000

@@ -33,8 +33,9 @@ def test_gf2_parse_with_comments_and_blanks():
 
 
 def test_gf2_round_trip():
-    m = BinMatrix.from_strings(["0110", "1001"])
-    assert parse_gf2(format_gf2(m)) == m
+    shapes = (BinMatrix.from_strings(["0110", "1001"]), BinMatrix.zeros(2, 0), BinMatrix.zeros(0, 0))
+    for m in shapes:
+        assert parse_gf2(format_gf2(m)) == m
 
 
 def test_gf2_header_mismatch_names_expected():
@@ -49,6 +50,9 @@ def test_gf2_bad_rows():
         parse_gf2("gf2 1 3\n1x0\n")
     with pytest.raises(ParseError, match="expected 2 matrix rows"):
         parse_gf2("gf2 2 3\n101\n")
+    # 0-column rows are blank lines, but each one must still be there
+    with pytest.raises(ParseError, match="expected 3 matrix rows, found 1"):
+        parse_gf2("gf2 3 0\n\n")
     with pytest.raises(ParseError, match="unexpected content"):
         parse_gf2("gf2 1 3\n101\n010\n")
     with pytest.raises(ParseError, match="empty file"):

@@ -2,8 +2,11 @@
 
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ebitcalc import (
     GF4Matrix,
@@ -18,7 +21,11 @@ from ebitcalc import (
     gf4_mul,
     gf4_rank,
     gf4_trace,
+    gf4_symplectic_rows,
+    rank,
+    symplectic_product_table,
 )
+from ebitcalc.formats import parse_gf4
 from ebitcalc.verify import gf4_rank_by_span_enumeration, random_gf4_matrix
 
 ELEMENTS = (ZERO, ONE, OMEGA, OMEGA_BAR)
@@ -131,3 +138,98 @@ def test_rank_transpose_invariant(seed):
 def test_entries_validated():
     with pytest.raises(ValueError):
         GF4Matrix.from_rows([[0, 4]])
+
+
+def test_rank_of_empty_rows_costs_nothing_per_column():
+    # A column sweep over 10^7 columns with no rows takes seconds.
+    m = GF4Matrix.zeros(0, 10**7)
+    start = time.perf_counter()
+    assert gf4_rank(m) == 0
+    assert time.perf_counter() - start < 0.5
+
+
+def test_planes_hold_the_coefficients_of_one_and_omega():
+    m = GF4Matrix.from_strings(["01wv"])
+    assert m.lo.to_strings() == ["0101"]
+    assert m.hi.to_strings() == ["0011"]
+    assert GF4Matrix.from_planes(m.lo, m.hi) == m
+    with pytest.raises(ShapeError):
+        GF4Matrix.from_planes(m.lo, m.hi.transpose())
+
+
+# -- properties of the two-plane representation ------------------------
+
+
+@st.composite
+def gf4_matrices(draw, rows=None, max_side=6):
+    rows = draw(st.integers(0, max_side)) if rows is None else rows
+    cols = draw(st.integers(0, max_side))
+    if not rows:  # a grid with no rows carries no column count
+        return GF4Matrix.zeros(0, cols)
+    row = st.lists(st.integers(0, 3), min_size=cols, max_size=cols)
+    return GF4Matrix(draw(st.lists(row, min_size=rows, max_size=rows)))
+
+
+@st.composite
+def gf4_products(draw):
+    a = draw(gf4_matrices())
+    return a, draw(gf4_matrices(rows=a.cols))
+
+
+# Empty and single-entry shapes are tried on every run, not left to chance.
+EDGE_SHAPES = [
+    GF4Matrix.zeros(0, 4),
+    GF4Matrix.zeros(4, 0),
+    GF4Matrix.zeros(0, 0),
+    GF4Matrix([[OMEGA]]),
+]
+
+
+def with_edge_shapes(test):
+    for m in EDGE_SHAPES:
+        test = example(m)(test)
+    return test
+
+
+@settings(derandomize=True, max_examples=150)
+@given(gf4_products())
+@example((GF4Matrix.zeros(0, 3), GF4Matrix.zeros(3, 2)))
+@example((GF4Matrix.zeros(3, 0), GF4Matrix.zeros(0, 3)))
+@example((GF4Matrix.zeros(2, 3), GF4Matrix.zeros(3, 0)))
+@example((GF4Matrix([[OMEGA]]), GF4Matrix([[OMEGA_BAR]])))
+def test_matmul_matches_scalar_loop_property(pair):
+    a, b = pair
+    product = a @ b
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = ZERO
+            for k in range(a.cols):
+                acc = gf4_add(acc, gf4_mul(a.entry(i, k), b.entry(k, j)))
+            assert product.entry(i, j) == acc
+
+
+@settings(derandomize=True, max_examples=150)
+@given(gf4_matrices())
+@with_edge_shapes
+def test_rank_transpose_invariant_property(m):
+    assert gf4_rank(m) == gf4_rank(m.transpose())
+
+
+@settings(derandomize=True, max_examples=150)
+@given(gf4_matrices())
+@with_edge_shapes
+def test_hermitian_rank_is_half_the_binary_rank_property(h):
+    # The paper's quaternary corollary: rank over GF(4) of H H-dagger is
+    # half the GF(2) rank of the symplectic products of the expansion.
+    z, x = gf4_symplectic_rows(h)
+    assert 2 * gf4_rank(h @ h.conj_transpose()) == rank(symplectic_product_table(z, x))
+
+
+@settings(derandomize=True, max_examples=150)
+@given(gf4_matrices())
+@with_edge_shapes
+def test_parse_and_str_round_trip_property(m):
+    body = str(m).split("\n") if m.rows and m.cols else [""] * m.rows
+    text = "\n".join([f"gf4 {m.rows} {m.cols}", *body]) + "\n"
+    assert parse_gf4(text) == m
