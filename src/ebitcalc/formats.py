@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .errors import ParseError
+from .errors import DegreeLimitError, ParseError
 from .gf2 import BinMatrix, bits_to_word
 
 # numpy and the non-binary matrix kinds load inside the parsers that need
@@ -239,7 +239,7 @@ def parse_poly(token: str, gf4: bool = False, line: int | None = None) -> Lauren
     GF(4) coefficient prefixes (``w*``, ``v*``, or bare ``w``/``v``) are
     accepted only when ``gf4`` is set.
     """
-    from .laurent import LaurentPoly
+    from .laurent import MAX_EXPONENT, LaurentPoly
 
     compact = "".join(token.split())
     if not compact:
@@ -274,6 +274,12 @@ def parse_poly(token: str, gf4: bool = False, line: int | None = None) -> Lauren
                 raise ParseError(f"bad exponent in term {part!r}", line) from None
         else:
             raise ParseError(f"bad polynomial term {part!r}", line)
+        # Checked per term: a polynomial spans its exponent range in memory.
+        if not -MAX_EXPONENT <= exponent <= MAX_EXPONENT:
+            where = "" if line is None else f"line {line}: "
+            raise DegreeLimitError(
+                f"{where}term {part!r} has an exponent outside [-{MAX_EXPONENT}, {MAX_EXPONENT}]"
+            )
         terms.append((exponent, coeff))
     return LaurentPoly(terms)
 

@@ -3,9 +3,12 @@
 Entries are polynomials in the delay operator D and its inverse with
 GF(4) coefficients; binary matrices are the {0, 1}-coefficient subset,
 and their rank over the rational-function field is unchanged by the
-coefficient extension, so one elimination routine serves both.  The
-per-frame formulas here are conjectured, not proven; callers surfacing
-results should say so.
+coefficient extension, so one elimination routine serves both.  A
+polynomial is two bit planes, the coefficients of 1 and of w packed into
+Python ints as in :mod:`ebitcalc.gf4`, plus the exponent of bit 0, so
+its arithmetic is word-parallel shift and XOR.  The per-frame formulas
+here are conjectured, not proven; callers surfacing results should say
+so.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegreeLimitError, InternalInvariantError, ShapeError
-from .gf2 import BinMatrix
-from .gf4 import GF4Matrix, _CONJ, _MUL
+from .gf2 import BinMatrix, word_to_bits
+from .gf4 import GF4Matrix
 
 __all__ = [
     "MAX_EXPONENT",
@@ -35,50 +38,62 @@ _COEFF_PREFIX = {1: "", 2: "w*", 3: "v*"}
 _COEFF_SYMBOL = {1: "1", 2: "w", 3: "v"}
 
 
+def _clmul(a: int, b: int) -> int:
+    """Carry-less product of two GF(2)[D] words.
+
+    One shift and XOR per set bit of the sparser operand.
+    """
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    acc = 0
+    while a:
+        low = a & -a
+        acc ^= b << (low.bit_length() - 1)
+        a ^= low
+    return acc
+
+
 class LaurentPoly:
     """Immutable polynomial in D and D^-1 with GF(4) coefficients.
 
-    Zero coefficients are never stored; the zero polynomial has empty
-    support.
+    The coefficient of ``D^(offset + j)`` is bit ``j`` of ``lo`` plus w
+    times bit ``j`` of ``hi``.  Bit 0 of ``lo | hi`` is set in every
+    nonzero polynomial, so each has one stored form; the zero polynomial
+    has ``lo == hi == offset == 0`` and empty support.  Memory grows with
+    the exponent span, so parsers bound exponents before building one.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("lo", "hi", "offset")
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        cleaned: dict[int, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        """Sum of ``(exponent, coeff)`` terms; repeated exponents add."""
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        base = min((exponent for exponent, _ in items), default=0)
+        lo = hi = 0
         for exponent, coeff in items:
             if not 0 <= coeff <= 3:
                 raise ValueError(f"coefficient {coeff!r} is not a GF(4) element")
-            if coeff:
-                prior = cleaned.get(exponent, 0)
-                merged = prior ^ coeff
-                if merged:
-                    cleaned[exponent] = merged
-                elif exponent in cleaned:
-                    del cleaned[exponent]
-        self._terms = cleaned
-
-    @classmethod
-    def _raw(cls, terms: dict[int, int]) -> "LaurentPoly":
-        poly = cls.__new__(cls)
-        poly._terms = terms
-        return poly
+            bit = 1 << (exponent - base)
+            if coeff & 1:
+                lo ^= bit
+            if coeff & 2:
+                hi ^= bit
+        self.lo, self.hi, self.offset = _stored_form(lo, hi, base)
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls._raw({})
+        return _ZERO
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls._raw({0: 1})
+        return _ONE
 
     @classmethod
     def delay(cls, exponent: int = 1, coeff: int = 1) -> "LaurentPoly":
         """coeff * D^exponent."""
         if not 0 <= coeff <= 3:
             raise ValueError(f"coefficient {coeff!r} is not a GF(4) element")
-        return cls._raw({exponent: coeff} if coeff else {})
+        return _make(coeff & 1, coeff >> 1, exponent) if coeff else _ZERO
 
     @classmethod
     def from_exponents(cls, exponents: Iterable[int]) -> "LaurentPoly":
@@ -88,91 +103,105 @@ class LaurentPoly:
     # -- inspection ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not (self.lo or self.hi)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self.lo or self.hi)
 
     def coeff(self, exponent: int) -> int:
-        return self._terms.get(exponent, 0)
+        j = exponent - self.offset
+        if j < 0:
+            return 0
+        return (self.lo >> j & 1) | (self.hi >> j & 1) << 1
+
+    def _items(self) -> list[tuple[int, int]]:
+        """(exponent, coefficient) of every nonzero term, exponents increasing."""
+        width = (self.lo | self.hi).bit_length()
+        lows = word_to_bits(self.lo, width)
+        highs = word_to_bits(self.hi, width)
+        return [
+            (self.offset + j, int(a) | int(b) << 1)
+            for j, (a, b) in enumerate(zip(lows, highs))
+            if a == "1" or b == "1"
+        ]
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._terms))
+        return tuple(e for e, _ in self._items())
 
     def terms(self) -> dict[int, int]:
-        return dict(self._terms)
+        return dict(self._items())
 
     def min_exp(self) -> int | None:
-        return min(self._terms) if self._terms else None
+        return self.offset if self else None
 
     def max_exp(self) -> int | None:
-        return max(self._terms) if self._terms else None
+        return self.offset + (self.lo | self.hi).bit_length() - 1 if self else None
 
     def is_binary(self) -> bool:
-        return all(c == 1 for c in self._terms.values())
+        return not self.hi
 
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            merged = out.get(e, 0) ^ c
-            if merged:
-                out[e] = merged
-            elif e in out:
-                del out[e]
-        return LaurentPoly._raw(out)
+        base = min(self.offset, other.offset)
+        a, b = self.offset - base, other.offset - base
+        lo = (self.lo << a) ^ (other.lo << b)
+        hi = (self.hi << a) ^ (other.hi << b)
+        return _make(*_stored_form(lo, hi, base))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            mul_row = _MUL[c1]
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                merged = out.get(e, 0) ^ mul_row[c2]
-                if merged:
-                    out[e] = merged
-                elif e in out:
-                    del out[e]
-        return LaurentPoly._raw(out)
-
-    def scaled(self, coeff: int) -> "LaurentPoly":
-        if coeff == 0:
-            return LaurentPoly.zero()
-        mul_row = _MUL[coeff]
-        return LaurentPoly._raw({e: mul_row[c] for e, c in self._terms.items()})
+        a0, a1, b0, b1 = self.lo, self.hi, other.lo, other.hi
+        if not (a0 or a1) or not (b0 or b1):
+            return _ZERO
+        # Both constant terms are nonzero and GF(4) has no zero divisors,
+        # so the product is already in stored form.
+        offset = self.offset + other.offset
+        # (A0 + wA1)(B0 + wB1) = (A0B0 + A1B1) + w((A0 + A1)(B0 + B1) + A0B0),
+        # three carry-less products as in GF4Matrix.__matmul__.
+        low = _clmul(a0, b0)
+        high = _clmul(a1, b1)
+        mixed = _clmul(a0 ^ a1, b0 ^ b1)
+        return _make(low ^ high, mixed ^ low, offset)
 
     def shifted(self, delta: int) -> "LaurentPoly":
         """Multiply by D^delta."""
-        return LaurentPoly._raw({e + delta: c for e, c in self._terms.items()})
+        return _make(self.lo, self.hi, self.offset + delta) if self else _ZERO
 
     def subs_inverse(self) -> "LaurentPoly":
         """Substitute D -> D^-1 (negate every exponent)."""
-        return LaurentPoly._raw({-e: c for e, c in self._terms.items()})
+        if not self:
+            return _ZERO
+        # Reading the width-bit little-endian digits as a big-endian number
+        # reverses them; the top bit of lo | hi becomes bit 0.
+        width = (self.lo | self.hi).bit_length()
+        return _make(
+            int(word_to_bits(self.lo, width), 2),
+            int(word_to_bits(self.hi, width), 2),
+            -(self.offset + width - 1),
+        )
 
     def conj(self) -> "LaurentPoly":
-        """Conjugate every coefficient."""
-        return LaurentPoly._raw({e: _CONJ[c] for e, c in self._terms.items()})
+        """Conjugate every coefficient: a + wb -> (a + b) + wb."""
+        return _make(self.lo ^ self.hi, self.hi, self.offset)
 
     # -- housekeeping ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return (self.lo, self.hi, self.offset) == (other.lo, other.hi, other.offset)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self.lo, self.hi, self.offset))
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self:
             return "0"
         parts = []
-        for e in sorted(self._terms):
-            c = self._terms[e]
+        for e, c in self._items():
             if e == 0:
                 parts.append(_COEFF_SYMBOL[c])
             elif e == 1:
@@ -180,6 +209,26 @@ class LaurentPoly:
             else:
                 parts.append(f"{_COEFF_PREFIX[c]}D^{e}")
         return "+".join(parts)
+
+
+def _stored_form(lo: int, hi: int, offset: int) -> tuple[int, int, int]:
+    """Drop the low zero bits of both planes, so that bit 0 of ``lo | hi`` is set."""
+    both = lo | hi
+    if not both:
+        return 0, 0, 0
+    shift = (both & -both).bit_length() - 1
+    return lo >> shift, hi >> shift, offset + shift
+
+
+def _make(lo: int, hi: int, offset: int) -> LaurentPoly:
+    """Wrap planes already in stored form (bit 0 of ``lo | hi`` set)."""
+    poly = LaurentPoly.__new__(LaurentPoly)
+    poly.lo, poly.hi, poly.offset = lo, hi, offset
+    return poly
+
+
+_ZERO = _make(0, 0, 0)
+_ONE = _make(1, 0, 0)
 
 
 def _check_support(entries: Sequence[Sequence[LaurentPoly]]) -> None:
@@ -367,6 +416,8 @@ def shifted_symplectic_matrix(h: LaurentCheckMatrix) -> LaurentMatrix:
     The result satisfies M(D) == M^T(D^-1) entrywise, the shifted
     analogue of symmetry; that identity is verified on every call.
     """
+    if not h.generators:  # each transpose would hold one empty row per column
+        return LaurentMatrix.zeros(0, 0)
     omega = (
         h.hx @ h.hz.subs_inverse().transpose()
         + h.hz @ h.hx.subs_inverse().transpose()
@@ -376,59 +427,81 @@ def shifted_symplectic_matrix(h: LaurentCheckMatrix) -> LaurentMatrix:
     return omega
 
 
-def _normalized_row(row: Sequence[LaurentPoly]) -> tuple[LaurentPoly, ...]:
-    """Shift a row by a power of D so its lowest exponent is zero."""
-    lows = [p.min_exp() for p in row if p]
-    if not lows:
-        return tuple(row)
-    shift = -min(lows)
-    if shift == 0:
-        return tuple(row)
-    return tuple(p.shifted(shift) for p in row)
+def _exact_quotient(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """``a / b`` in GF(4)[D, D^-1], where ``b`` must divide ``a``.
+
+    In stored form both are D^offset times a polynomial with a nonzero
+    constant term, so the quotient is a long division from the low end by
+    shift and XOR.  A nonzero remainder raises: it means the elimination
+    that asked for the division is wrong, and truncating would hide that.
+    """
+    b0, b1 = b.lo, b.hi
+    if not (b0 or b1):
+        raise InternalInvariantError("exact division by the zero polynomial")
+    r0, r1 = a.lo, a.hi
+    if not (r0 or r1):
+        return _ZERO
+    top = (r0 | r1).bit_length() - (b0 | b1).bit_length()  # quotient degree
+    # s*b for s = 1, w, v, keyed by their constant coefficient:
+    # w(a + wb) = b + w(a + b) and v(a + wb) = (a + b) + wa.
+    multiples = {}
+    for s, m0, m1 in ((1, b0, b1), (2, b1, b0 ^ b1), (3, b0 ^ b1, b0)):
+        multiples[(m0 & 1) | (m1 & 1) << 1] = s, m0, m1
+    q0 = q1 = 0
+    while r0 or r1:
+        rest = r0 | r1
+        j = (rest & -rest).bit_length() - 1
+        if j > top:
+            break
+        s, m0, m1 = multiples[(r0 >> j & 1) | (r1 >> j & 1) << 1]
+        r0 ^= m0 << j
+        r1 ^= m1 << j
+        q0 |= (s & 1) << j
+        q1 |= (s >> 1) << j
+    if r0 or r1:
+        raise InternalInvariantError(f"{b} does not divide {a}")
+    return _make(q0, q1, a.offset - b.offset)
 
 
 def laurent_rank(m: LaurentMatrix) -> int:
     """Rank over the field of rational functions in D.
 
-    Rows are first multiplied by powers of D to clear negative
-    exponents (units of the Laurent ring, rank-neutral).  Elimination is
-    fraction-free: the pivot is the lowest-degree nonzero entry in the
-    pivot column, and each lower row is replaced by
-    ``pivot * row + entry * pivot_row``, which stays in the polynomial
-    ring; rows are re-normalized after every step to keep degrees small.
+    Bareiss's fraction-free elimination with exact division (Bareiss
+    1968): the pivot is the nonzero entry of least span in the pivot
+    column, and each lower row is replaced by
+    ``(pivot * row + entry * pivot_row) / previous_pivot``.  The division
+    is exact, so after k pivots every entry is a (k+1)-minor of the input
+    (up to row order) and its span is at most k+1 times the input span:
+    the cost is polynomial in the size and the exponents.
     """
-    work = [list(_normalized_row(row)) for row in m._entries]
+    work = [list(row) for row in m._entries]
     nrows, ncols = m.rows, m.cols
-    pivot_row = 0
+    previous = _ONE
+    rank = 0
     for col in range(ncols):
-        best = None
-        best_deg = None
-        for r in range(pivot_row, nrows):
-            p = work[r][col]
-            if p:
-                deg = p.max_exp()
-                if best is None or deg < best_deg:
-                    best, best_deg = r, deg
-        if best is None:
+        spans = [
+            ((p.lo | p.hi).bit_length(), r)
+            for r in range(rank, nrows)
+            if (p := work[r][col])
+        ]
+        if not spans:
             continue
-        if best != pivot_row:
-            work[pivot_row], work[best] = work[best], work[pivot_row]
-        pivot = work[pivot_row][col]
-        for r in range(pivot_row + 1, nrows):
-            entry = work[r][col]
-            if entry:
-                work[r] = list(
-                    _normalized_row(
-                        [
-                            pivot * work[r][j] + entry * work[pivot_row][j]
-                            for j in range(ncols)
-                        ]
-                    )
+        best = min(spans)[1]
+        work[rank], work[best] = work[best], work[rank]
+        pivot_row = work[rank]
+        pivot = pivot_row[col]
+        for r in range(rank + 1, nrows):
+            row = work[r]
+            entry = row[col]
+            for j in range(col + 1, ncols):
+                row[j] = _exact_quotient(
+                    pivot * row[j] + entry * pivot_row[j], previous
                 )
-        pivot_row += 1
-        if pivot_row == nrows:
+        previous = pivot
+        rank += 1
+        if rank == nrows:
             break
-    return pivot_row
+    return rank
 
 
 def conv_ebits(h: LaurentCheckMatrix) -> int:
@@ -449,6 +522,8 @@ def gf4_conv_ebits(h: LaurentMatrix) -> int:
     Rank of H(D) @ H†(D^-1), where † conjugate-transposes and the
     D -> D^-1 substitution applies to the conjugated transpose.
     """
+    if not h.rows:
+        return 0
     return laurent_rank(h @ h.conj().transpose().subs_inverse())
 
 
@@ -458,4 +533,6 @@ def css_conv_ebits(h1: LaurentMatrix, h2: LaurentMatrix) -> int:
         raise ShapeError(
             f"parity checks have different lengths: {h1.cols} vs {h2.cols}"
         )
+    if not (h1.rows and h2.rows):
+        return 0
     return laurent_rank(h1 @ h2.transpose().subs_inverse())

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import InternalInvariantError, SizeLimitError
 from .gf2 import BinMatrix, rank, row_reduce
 from .gf4 import GF4Matrix, _MUL, gf4_rank
@@ -62,6 +60,8 @@ def rank_by_span_enumeration(m: BinMatrix) -> int:
     """
     if m.rows > 20:
         raise SizeLimitError(f"span enumeration limited to 20 rows, got {m.rows}")
+    import numpy as np  # here, so that a verify call past the row limit never loads it
+
     words = [m.row_bits(i) for i in range(m.rows)]
     if m.cols <= 63:
         span = np.zeros(1, dtype=np.uint64)
@@ -80,6 +80,8 @@ def gf4_rank_by_span_enumeration(m: GF4Matrix) -> int:
     """GF(4) rank by enumerating all 4^rows row combinations."""
     if m.rows > 10:
         raise SizeLimitError(f"span enumeration limited to 10 rows, got {m.rows}")
+    import numpy as np
+
     # Rows pack into ints two bits per entry; GF(4) addition is then a
     # plain XOR because the 2-bit lanes never carry.
     multiples = []

@@ -341,10 +341,12 @@ def test_option_defaults_come_from_the_library(capsys):
 
 
 def test_binary_commands_do_not_import_numpy():
-    # Only qudit, cv and verify need numpy.
+    # Only qudit, cv and verify's span enumeration need numpy; verify skips
+    # enumeration on sets of more than 20 generators.
     commands = [
         [cmd, str(DATA / "fivequbit.qcheck")] for cmd in ("ebits", "params", "sgsop")
     ] + [
+        ["verify", str(DATA / "paired22.qcheck")],
         ["gf4", str(DATA / "example.gf4")],
         ["gf4-expand", str(DATA / "example.gf4")],
         ["css", str(DATA / "hamming74.gf2"), str(DATA / "hamming74.gf2")],
@@ -375,6 +377,9 @@ HEADER_ONLY_COLUMNS = 10**7
         ("verify", "empty.qcheck"),
         ("css", "empty.gf2", "empty.gf2"),
         ("gf4", "empty.gf4"),
+        ("conv", "empty.conv"),
+        ("conv4", "empty.conv4"),
+        ("conv-css", "empty.conv", "empty.conv"),
     ],
 )
 def test_header_only_input_costs_nothing_per_column(tmp_path, argv):
@@ -385,7 +390,7 @@ def test_header_only_input_costs_nothing_per_column(tmp_path, argv):
     for columns in (1, HEADER_ONLY_COLUMNS):
         folder = tmp_path / str(columns)
         folder.mkdir()
-        for kind in ("qcheck", "gf2", "gf4"):
+        for kind in ("qcheck", "gf2", "gf4", "conv", "conv4"):
             (folder / f"empty.{kind}").write_text(f"{kind} 0 {columns}\n")
         runs.append([argv[0], *(str(folder / name) for name in argv[1:])])
     script = (
@@ -406,3 +411,40 @@ def test_header_only_input_costs_nothing_per_column(tmp_path, argv):
     warm, code, peak = map(int, result.stdout.splitlines()[-1].split())
     assert (warm, code) == (EXIT_OK, EXIT_OK)
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "kind, body",
+    [
+        ("conv", "D^-4000000000+D^4000000000 | 0"),
+        ("conv", "1+D^1000000000000 | 0"),
+        ("conv4", "w*D^-4000000000+D^4000000000"),
+        ("conv-css", "1+D^1000000000000"),
+    ],
+)
+def test_far_exponent_is_rejected_before_it_is_stored(tmp_path, kind, body):
+    # A polynomial is stored as a bit plane spanning its exponent range, so
+    # an exponent far outside [-MAX_EXPONENT, MAX_EXPONENT] in a tiny file
+    # must be rejected while parsing, not after a gigabyte-wide word is built.
+    header = "conv" if kind == "conv-css" else kind
+    path = tmp_path / f"far.{header}"
+    path.write_text(f"{header} 1 1\n{body}\n")
+    argv = [kind, *[str(path)] * (2 if kind == "conv-css" else 1)]
+    script = (
+        "import tracemalloc\n"
+        "from ebitcalc.cli import main\n"
+        "tracemalloc.start()\n"
+        f"code = main({argv!r})\n"
+        "print(code, tracemalloc.get_traced_memory()[1])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    code, peak = map(int, result.stdout.splitlines()[-1].split())
+    assert code == EXIT_DOMAIN
+    assert "outside [-64, 64]" in result.stderr
+    assert peak < 5_000_000

@@ -1,13 +1,18 @@
 """Tests for delay-polynomial matrices and the convolutional count formulas."""
 
 import random
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ebitcalc import (
     BinMatrix,
     DegreeLimitError,
+    GF4Matrix,
+    InternalInvariantError,
     LaurentCheckMatrix,
     LaurentMatrix,
     LaurentPoly,
@@ -15,12 +20,17 @@ from ebitcalc import (
     conv_ebits,
     css_conv_ebits,
     ebit_count,
+    gf4_conj,
     gf4_conv_ebits,
     gf4_ebits,
+    gf4_mul,
+    gf4_rank,
     laurent_rank,
+    rank,
     shifted_symplectic_matrix,
 )
 from ebitcalc.formats import parse_conv_pair, parse_poly
+from ebitcalc.laurent import _exact_quotient
 from ebitcalc.verify import (
     laurent_rank_by_evaluation,
     random_check_matrix,
@@ -242,3 +252,251 @@ def test_degree_limit_enforced():
 def test_check_matrix_shape_mismatch():
     with pytest.raises(ShapeError):
         LaurentCheckMatrix(LaurentMatrix.zeros(2, 2), LaurentMatrix.zeros(2, 3))
+
+
+# -- properties of the packed representation ---------------------------------
+
+
+def _merge(pairs) -> dict[int, int]:
+    """Dict-of-terms reference: XOR-merge (exponent, coeff) pairs, drop zeros."""
+    out: dict[int, int] = {}
+    for e, c in pairs:
+        out[e] = out.get(e, 0) ^ c
+    return {e: c for e, c in out.items() if c}
+
+
+def _reference_product(a: dict, b: dict) -> dict:
+    return _merge(
+        (e1 + e2, gf4_mul(c1, c2)) for e1, c1 in a.items() for e2, c2 in b.items()
+    )
+
+
+term_lists = st.lists(
+    st.tuples(st.integers(-8, 8), st.integers(0, 3)), max_size=6
+)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(term_lists, term_lists, st.integers(-5, 5))
+@example([], [], 0)
+@example([(3, 2)], [(-3, 3)], 1)
+@example([(0, 1), (0, 1)], [(2, 1), (2, 3)], -2)
+def test_poly_operations_match_dict_reference_property(ta, tb, delta):
+    a, b = LaurentPoly(ta), LaurentPoly(tb)
+    ra, rb = _merge(ta), _merge(tb)
+    assert a.terms() == ra
+    assert a.support() == tuple(sorted(ra))
+    assert (a.min_exp(), a.max_exp()) == (
+        (min(ra), max(ra)) if ra else (None, None)
+    )
+    assert all(a.coeff(e) == ra.get(e, 0) for e in range(-9, 10))
+    assert a.is_binary() == all(c == 1 for c in ra.values())
+    assert a.is_zero() == (not ra)
+    assert (a + b).terms() == _merge([*ra.items(), *rb.items()])
+    assert (a * b).terms() == _reference_product(ra, rb)
+    assert a.shifted(delta).terms() == {e + delta: c for e, c in ra.items()}
+    assert a.subs_inverse().terms() == {-e: c for e, c in ra.items()}
+    assert a.conj().terms() == {e: gf4_conj(c) for e, c in ra.items()}
+    # equal values compare and hash equal whatever terms built them
+    same = LaurentPoly(reversed(list(ra.items())))
+    assert same == a and hash(same) == hash(a)
+    assert parse_poly(str(a), gf4=True) == a
+
+
+def _grids(gf4: bool, rows=None, cols=None, max_side=5):
+    side = st.integers(0, max_side)
+    coeff = st.integers(1, 3) if gf4 else st.just(1)
+    poly = st.lists(st.tuples(st.integers(-3, 3), coeff), max_size=3).map(LaurentPoly)
+
+    @st.composite
+    def build(draw):
+        r = draw(side) if rows is None else rows
+        c = draw(side) if cols is None else cols
+        grid = [[draw(poly) for _ in range(c)] for _ in range(r)]
+        return LaurentMatrix(grid, cols=c)
+
+    return build()
+
+
+def _low_rank_products(gf4: bool):
+    # A (r x k) @ B (k x c) with k <= 2 has rank at most k.
+    @st.composite
+    def build(draw):
+        k = draw(st.integers(0, 2))
+        a = draw(_grids(gf4, cols=k))
+        return a @ draw(_grids(gf4, rows=k))
+
+    return build()
+
+
+# Empty and single-entry shapes are tried on every run, not left to chance.
+EDGE_MATRICES = [
+    LaurentMatrix.zeros(0, 3),
+    LaurentMatrix.zeros(3, 0),
+    LaurentMatrix([[LaurentPoly.from_exponents([-1, 2])]]),
+    LaurentMatrix([[LaurentPoly.delay(-2, 2)]]),
+]
+
+
+def with_edge_matrices(test):
+    for m in EDGE_MATRICES:
+        test = example(m)(test)
+    return test
+
+
+any_matrix = st.one_of(
+    _grids(False), _grids(True), _low_rank_products(False), _low_rank_products(True)
+)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(any_matrix)
+@with_edge_matrices
+def test_rank_transpose_invariant_property(m):
+    assert laurent_rank(m) == laurent_rank(m.transpose())
+
+
+@settings(derandomize=True, max_examples=200)
+@given(any_matrix)
+@with_edge_matrices
+def test_rank_equals_evaluation_oracle_property(m):
+    # Entry spans are at most 12 and sides at most 5, so a nonzero minor
+    # vanishes at one of 2^16 - 1 points with probability below 1/1000.
+    r = laurent_rank(m)
+    assert r <= min(m.rows, m.cols)
+    assert r == laurent_rank_by_evaluation(m, field_degree=16)
+
+
+def _constant_grids():
+    @st.composite
+    def build(draw):
+        rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        entry = st.integers(0, 3)
+        return rows, cols, [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    return build()
+
+
+@settings(derandomize=True, max_examples=200)
+@given(_constant_grids())
+@example((0, 3, []))
+@example((3, 0, [[], [], []]))
+@example((1, 1, [[2]]))
+@example((1, 1, [[1]]))
+def test_constant_entries_give_the_block_ranks_property(shape):
+    rows, cols, grid = shape
+    m = GF4Matrix(grid) if rows else GF4Matrix.zeros(0, cols)
+    assert laurent_rank(LaurentMatrix.from_constant_binary(m.lo)) == rank(m.lo)
+    assert laurent_rank(LaurentMatrix.from_constant_gf4(m)) == gf4_rank(m)
+
+
+# -- regression bounds: the elimination is polynomial -------------------------
+
+
+def _random_dense(rng, n, max_exp, gf4=False):
+    def poly():
+        return LaurentPoly(
+            (rng.randint(-max_exp, max_exp), rng.randrange(1, 4) if gf4 else 1)
+            for _ in range(2 * max_exp + 1)
+        )
+
+    return LaurentMatrix([[poly() for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize(
+    "n,max_exp,bound", [(12, 4, 1.0), (24, 10, 10.0)], ids=["12x12", "24x24"]
+)
+def test_dense_rank_time_bound(n, max_exp, bound):
+    # Elimination without division doubled entry degrees at each pivot, so
+    # its cost grew exponentially with the rank; Bareiss keeps every entry
+    # a minor, of span at most n times the input span.
+    m = _random_dense(random.Random(n), n, max_exp)
+    start = time.perf_counter()
+    r = laurent_rank(m)
+    assert time.perf_counter() - start < bound
+    assert r == laurent_rank_by_evaluation(m, field_degree=16)
+
+
+def _mixed_conv_text(rng, pairs: int, n: int, max_exp: int, moves: int) -> str:
+    """A conv file of 2*pairs generators needing exactly ``pairs`` ebits.
+
+    Starts from Z and X on each of the first ``pairs`` qubits and applies
+    moves that keep the count: delayed CNOTs (x_b += D^t x_a with
+    z_a += D^-t z_b), Hadamards, phases (z_a += x_a) and row additions
+    (row_p += D^t row_q), skipping any that leave the exponent window.
+    Polynomials are bit masks, bit ``max_exp + e`` standing for D^e.
+    """
+    window = (1 << (2 * max_exp + 1)) - 1
+    low = 2  # |t| <= 2: padding keeps right shifts exact
+    one = 1 << (max_exp + low)
+    unit = [[one if j == i else 0 for j in range(n)] for i in range(pairs)]
+    zero = [[0] * n for _ in range(pairs)]
+    z, x = unit + zero, [row[:] for row in zero] + [row[:] for row in unit]
+
+    def shift(v, t):
+        return v << t if t >= 0 else v >> -t
+
+    def ok(vs):
+        return all(v & ~(window << low) == 0 for v in vs)
+
+    for _ in range(moves):
+        kind, t = rng.randrange(4), rng.randint(-2, 2)
+        if kind == 0:
+            a, b = rng.sample(range(n), 2)
+            nx = [row[b] ^ shift(row[a], t) for row in x]
+            nz = [row[a] ^ shift(row[b], -t) for row in z]
+            if ok(nx) and ok(nz):
+                for row, v in zip(x, nx):
+                    row[b] = v
+                for row, v in zip(z, nz):
+                    row[a] = v
+        elif kind == 1:
+            a = rng.randrange(n)
+            for zr, xr in zip(z, x):
+                zr[a], xr[a] = xr[a], zr[a]
+        elif kind == 2:
+            a = rng.randrange(n)
+            nz = [zr[a] ^ xr[a] for zr, xr in zip(z, x)]
+            for row, v in zip(z, nz):
+                row[a] = v
+        else:
+            p, q = rng.sample(range(2 * pairs), 2)
+            nz = [u ^ shift(v, t) for u, v in zip(z[p], z[q])]
+            nx = [u ^ shift(v, t) for u, v in zip(x[p], x[q])]
+            if ok(nz) and ok(nx):
+                z[p], x[p] = nz, nx
+
+    def text(v):
+        exps = [j - max_exp - low for j in range(v.bit_length()) if v >> j & 1]
+        return "+".join(f"D^{e}" for e in exps) or "0"
+
+    rows = [
+        ", ".join(map(text, zr)) + " | " + ", ".join(map(text, xr))
+        for zr, xr in zip(z, x)
+    ]
+    return "\n".join([f"conv {2 * pairs} {n}", *rows]) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_ten_conv_set_time_bound(seed):
+    h = parse_conv_pair(_mixed_conv_text(random.Random(seed), 5, 8, 10, 1500))
+    start = time.perf_counter()
+    assert conv_ebits(h) == 5
+    assert time.perf_counter() - start < 1.0
+
+
+def test_exact_quotient_divides_or_raises():
+    one_plus_d = LaurentPoly.from_exponents([0, 1])
+    a = LaurentPoly.from_exponents([-3, 5]) * LaurentPoly.delay(2, 2)
+    assert _exact_quotient(a * one_plus_d, one_plus_d) == a
+    assert _exact_quotient(a, LaurentPoly.delay(4, 3)) * LaurentPoly.delay(4, 3) == a
+    assert _exact_quotient(LaurentPoly.zero(), one_plus_d).is_zero()
+    with pytest.raises(InternalInvariantError):
+        _exact_quotient(LaurentPoly.from_exponents([0, 2, 3]), one_plus_d)
+    with pytest.raises(InternalInvariantError):
+        _exact_quotient(one_plus_d, LaurentPoly.from_exponents([0, 1, 2]))
+    # 1 + wD^2 is w, not 0, at v, the root of 1 + wD
+    with pytest.raises(InternalInvariantError):
+        _exact_quotient(LaurentPoly([(0, 1), (2, 2)]), LaurentPoly([(0, 1), (1, 2)]))
+    with pytest.raises(InternalInvariantError):
+        _exact_quotient(one_plus_d, LaurentPoly.zero())
