@@ -69,7 +69,9 @@ def numerical_rank(a: np.ndarray, relative_tolerance: float) -> int:
     reference = float(np.abs(work).max())
     if reference == 0.0:
         return 0
-    threshold = relative_tolerance * reference
+    # A power-of-two scale is exact; it keeps the elimination's growth finite.
+    work = np.ldexp(work, -np.frexp(reference)[1])
+    threshold = relative_tolerance * float(np.abs(work).max())
     r = 0
     steps = min(nrows, ncols)
     for _ in range(steps):
@@ -96,11 +98,14 @@ def cv_ebit_count(h: RealCheckMatrix) -> int:
     """Entangled modes consumed by a real generator set.
 
     The product matrix is formed once and antisymmetrized analytically,
-    so antisymmetry holds exactly in floating point; the even-rank check
-    still runs before halving.
+    so antisymmetry holds exactly in floating point unless it overflows,
+    which raises; the even-rank check still runs before halving.
     """
-    half = h.hx @ h.hz.T
-    omega = half - half.T
+    with np.errstate(all="ignore"):
+        half = h.hx @ h.hz.T
+        omega = half - half.T
+    if not np.isfinite(omega).all():
+        raise NonFiniteEntryError("real product matrix overflowed the float64 range")
     skew_defect = np.abs(omega + omega.T).max() if omega.size else 0.0
     if skew_defect != 0.0:
         raise InternalInvariantError("real product matrix lost exact antisymmetry")

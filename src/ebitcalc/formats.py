@@ -25,7 +25,6 @@ __all__ = [
     "parse_gf2",
     "parse_qcheck",
     "parse_gf4",
-    "parse_zmod",
     "parse_qcheckd",
     "parse_cvcheck",
     "parse_conv_pair",
@@ -33,8 +32,6 @@ __all__ = [
     "parse_poly",
     "format_gf2",
     "format_qcheck",
-    "format_conv_pair",
-    "format_conv_plain",
 ]
 
 _COEFF_VALUES = {"1": 1, "w": 2, "v": 3}
@@ -159,21 +156,6 @@ def _residues(chunk: str, width: int, number: int) -> list[int]:
         return [int(f) for f in fields]
     except ValueError:
         raise ParseError("non-integer residue", number) from None
-
-
-def parse_zmod(text: str) -> ModMatrix:
-    """Residue matrix: header ``zmod <d> <rows> <cols>`` then residue rows."""
-    import numpy as np
-
-    from .qudit import ModMatrix
-
-    lines = _logical_lines(text)
-    d, rows, cols = _split_header(lines, "zmod", 3)
-    body = _take_rows(lines, rows, "matrix")
-    grid = [_residues(content, cols, number) for number, content in body]
-    if not grid:
-        return ModMatrix(np.zeros((0, cols), dtype=np.int64), d)
-    return ModMatrix(grid, d)
 
 
 def parse_qcheckd(text: str) -> tuple[ModMatrix, ModMatrix]:
@@ -354,20 +336,3 @@ def format_qcheck(hz: BinMatrix, hx: BinMatrix) -> str:
     rows = [f"{z}|{x}" for z, x in zip(hz.to_strings(), hx.to_strings())]
     return "\n".join([header, *rows]) + "\n"
 
-
-def format_conv_pair(h: LaurentCheckMatrix) -> str:
-    header = f"conv {h.generators} {h.n}"
-    rows = []
-    for i in range(h.generators):
-        z_part = ", ".join(str(h.hz.entry(i, j)) for j in range(h.n))
-        x_part = ", ".join(str(h.hx.entry(i, j)) for j in range(h.n))
-        rows.append(f"{z_part} | {x_part}")
-    return "\n".join([header, *rows]) + "\n"
-
-
-def format_conv_plain(m: LaurentMatrix, tag: str = "conv") -> str:
-    header = f"{tag} {m.rows} {m.cols}"
-    rows = [
-        ", ".join(str(m.entry(i, j)) for j in range(m.cols)) for i in range(m.rows)
-    ]
-    return "\n".join([header, *rows]) + "\n"

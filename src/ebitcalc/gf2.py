@@ -171,15 +171,6 @@ class BinMatrix:
             raise ShapeError("vstack needs matching column counts")
         return BinMatrix(self.rows + other.rows, self.cols, self._data + other._data)
 
-    def direct_sum(self, other: "BinMatrix") -> "BinMatrix":
-        shift = self.cols
-        top = self._data
-        bottom = tuple(word << shift for word in other._data)
-        return BinMatrix(self.rows + other.rows, self.cols + other.cols, top + bottom)
-
-    def is_zero(self) -> bool:
-        return not any(self._data)
-
     # -- dunder housekeeping -------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -18,7 +18,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DegreeLimitError, InternalInvariantError, ShapeError
 from .gf2 import BinMatrix, word_to_bits
-from .gf4 import GF4Matrix
 
 __all__ = [
     "MAX_EXPONENT",
@@ -89,30 +88,14 @@ class LaurentPoly:
         return _ONE
 
     @classmethod
-    def delay(cls, exponent: int = 1, coeff: int = 1) -> "LaurentPoly":
-        """coeff * D^exponent."""
-        if not 0 <= coeff <= 3:
-            raise ValueError(f"coefficient {coeff!r} is not a GF(4) element")
-        return _make(coeff & 1, coeff >> 1, exponent) if coeff else _ZERO
-
-    @classmethod
     def from_exponents(cls, exponents: Iterable[int]) -> "LaurentPoly":
         """Binary polynomial with 1-coefficients at the given exponents."""
         return cls((e, 1) for e in exponents)
 
     # -- inspection ----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not (self.lo or self.hi)
-
     def __bool__(self) -> bool:
         return bool(self.lo or self.hi)
-
-    def coeff(self, exponent: int) -> int:
-        j = exponent - self.offset
-        if j < 0:
-            return 0
-        return (self.lo >> j & 1) | (self.hi >> j & 1) << 1
 
     def _items(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) of every nonzero term, exponents increasing."""
@@ -124,9 +107,6 @@ class LaurentPoly:
             for j, (a, b) in enumerate(zip(lows, highs))
             if a == "1" or b == "1"
         ]
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(e for e, _ in self._items())
 
     def terms(self) -> dict[int, int]:
         return dict(self._items())
@@ -162,10 +142,6 @@ class LaurentPoly:
         high = _clmul(a1, b1)
         mixed = _clmul(a0 ^ a1, b0 ^ b1)
         return _make(low ^ high, mixed ^ low, offset)
-
-    def shifted(self, delta: int) -> "LaurentPoly":
-        """Multiply by D^delta."""
-        return _make(self.lo, self.hi, self.offset + delta) if self else _ZERO
 
     def subs_inverse(self) -> "LaurentPoly":
         """Substitute D -> D^-1 (negate every exponent)."""
@@ -231,26 +207,18 @@ _ZERO = _make(0, 0, 0)
 _ONE = _make(1, 0, 0)
 
 
-def _check_support(entries: Sequence[Sequence[LaurentPoly]]) -> None:
-    for i, row in enumerate(entries):
-        for j, poly in enumerate(row):
-            lo, hi = poly.min_exp(), poly.max_exp()
-            if lo is not None and (lo < -MAX_EXPONENT or hi > MAX_EXPONENT):
-                raise DegreeLimitError(
-                    f"entry ({i},{j}) has exponents outside [-{MAX_EXPONENT}, {MAX_EXPONENT}]"
-                )
-
-
 class LaurentMatrix:
-    """Immutable rectangular matrix of delay polynomials."""
+    """Immutable rectangular matrix of delay polynomials.
+
+    Every entry's exponents must lie in [-MAX_EXPONENT, MAX_EXPONENT];
+    computed products, whose spans may be wider, are built by
+    :func:`_gram` without that check.
+    """
 
     __slots__ = ("rows", "cols", "_entries")
 
     def __init__(
-        self,
-        entries: Sequence[Sequence[LaurentPoly]],
-        cols: int | None = None,
-        check_support: bool = True,
+        self, entries: Sequence[Sequence[LaurentPoly]], cols: int | None = None
     ):
         grid = tuple(tuple(row) for row in entries)
         if cols is None:
@@ -258,8 +226,12 @@ class LaurentMatrix:
         for i, row in enumerate(grid):
             if len(row) != cols:
                 raise ShapeError(f"row {i} has {len(row)} entries, expected {cols}")
-        if check_support:
-            _check_support(grid)
+            for j, p in enumerate(row):
+                if p and (p.offset < -MAX_EXPONENT or p.max_exp() > MAX_EXPONENT):
+                    raise DegreeLimitError(
+                        f"entry ({i},{j}) has exponents outside"
+                        f" [-{MAX_EXPONENT}, {MAX_EXPONENT}]"
+                    )
         self.rows = len(grid)
         self.cols = cols
         self._entries = grid
@@ -281,82 +253,11 @@ class LaurentMatrix:
             cols=m.cols,
         )
 
-    @classmethod
-    def from_constant_gf4(cls, m: GF4Matrix) -> "LaurentMatrix":
-        return cls(
-            tuple(
-                tuple(LaurentPoly.delay(0, m.entry(i, j)) for j in range(m.cols))
-                for i in range(m.rows)
-            ),
-            cols=m.cols,
-        )
-
     def entry(self, i: int, j: int) -> LaurentPoly:
         return self._entries[i][j]
 
-    def row(self, i: int) -> tuple[LaurentPoly, ...]:
-        return self._entries[i]
-
     def is_binary(self) -> bool:
         return all(p.is_binary() for row in self._entries for p in row)
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self._entries for p in row)
-
-    def transpose(self) -> "LaurentMatrix":
-        return LaurentMatrix(
-            tuple(
-                tuple(self._entries[i][j] for i in range(self.rows))
-                for j in range(self.cols)
-            ),
-            cols=self.rows,
-            check_support=False,
-        )
-
-    def subs_inverse(self) -> "LaurentMatrix":
-        return LaurentMatrix(
-            tuple(tuple(p.subs_inverse() for p in row) for row in self._entries),
-            cols=self.cols,
-            check_support=False,
-        )
-
-    def conj(self) -> "LaurentMatrix":
-        return LaurentMatrix(
-            tuple(tuple(p.conj() for p in row) for row in self._entries),
-            cols=self.cols,
-            check_support=False,
-        )
-
-    def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("cannot add delay matrices of different shapes")
-        return LaurentMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self._entries, other._entries)
-            ),
-            cols=self.cols,
-            check_support=False,
-        )
-
-    def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        if self.cols != other.rows:
-            raise ShapeError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = LaurentPoly.zero()
-                for k in range(self.cols):
-                    left = self._entries[i][k]
-                    right = other._entries[k][j]
-                    if left and right:
-                        acc = acc + left * right
-                row.append(acc)
-            out.append(tuple(row))
-        return LaurentMatrix(tuple(out), cols=other.cols, check_support=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentMatrix):
@@ -391,8 +292,6 @@ class LaurentCheckMatrix:
     def __post_init__(self):
         if (self.hz.rows, self.hz.cols) != (self.hx.rows, self.hx.cols):
             raise ShapeError("Z and X parts must have identical shape")
-        _check_support(self.hz._entries)
-        _check_support(self.hx._entries)
 
     @property
     def n(self) -> int:
@@ -410,20 +309,63 @@ class LaurentCheckMatrix:
         )
 
 
+def _aligned(rows: Sequence[Sequence[LaurentPoly]]) -> tuple[int, list[list]]:
+    """The least offset of all entries, and each entry's (lo, hi) planes
+    shifted to it, or None for a zero entry."""
+    base = min((p.offset for row in rows for p in row if p), default=0)
+    return base, [
+        [(p.lo << p.offset - base, p.hi << p.offset - base) if p else None for p in row]
+        for row in rows
+    ]
+
+
+def _gram(
+    a_rows: Sequence[Sequence[LaurentPoly]], b_rows: Sequence[Sequence[LaurentPoly]]
+) -> LaurentMatrix:
+    """The matrix whose (i, j) entry is sum_k a_rows[i][k] * b_rows[j][k](D^-1).
+
+    With each side aligned to its own least offset, every product in the
+    matrix has the same offset, so an entry's products are XOR-summed as
+    plain ints, plane by plane as in ``LaurentPoly.__mul__``, and one
+    polynomial is built per entry.  The b side is substituted D -> D^-1
+    before alignment.
+    """
+    a_base, left = _aligned(a_rows)
+    b_base, right = _aligned([[p.subs_inverse() for p in row] for row in b_rows])
+    base = a_base + b_base
+    grid = []
+    for a in left:
+        row = []
+        for b in right:
+            lo = hi = 0
+            for x, y in zip(a, b):
+                if x and y:
+                    low = _clmul(x[0], y[0])
+                    lo ^= low ^ _clmul(x[1], y[1])
+                    hi ^= _clmul(x[0] ^ x[1], y[0] ^ y[1]) ^ low
+            row.append(_make(*_stored_form(lo, hi, base)))
+        grid.append(tuple(row))
+    # Products may exceed the input window, so the checked constructor is skipped.
+    m = LaurentMatrix.__new__(LaurentMatrix)
+    m.rows, m.cols, m._entries = len(grid), len(right), tuple(grid)
+    return m
+
+
 def shifted_symplectic_matrix(h: LaurentCheckMatrix) -> LaurentMatrix:
     """Pairwise products with the partner row evaluated at D^-1.
 
     The result satisfies M(D) == M^T(D^-1) entrywise, the shifted
     analogue of symmetry; that identity is verified on every call.
     """
-    if not h.generators:  # each transpose would hold one empty row per column
-        return LaurentMatrix.zeros(0, 0)
-    omega = (
-        h.hx @ h.hz.subs_inverse().transpose()
-        + h.hz @ h.hx.subs_inverse().transpose()
-    )
-    if omega != omega.transpose().subs_inverse():
-        raise InternalInvariantError("shifted product matrix lost shifted symmetry")
+    hz, hx = h.hz._entries, h.hx._entries
+    omega = _gram([x + z for x, z in zip(hx, hz)], [z + x for z, x in zip(hz, hx)])
+    e = omega._entries
+    for i in range(omega.rows):
+        for j in range(i, omega.rows):
+            if e[i][j] != e[j][i].subs_inverse():
+                raise InternalInvariantError(
+                    "shifted product matrix lost shifted symmetry"
+                )
     return omega
 
 
@@ -522,9 +464,8 @@ def gf4_conv_ebits(h: LaurentMatrix) -> int:
     Rank of H(D) @ H†(D^-1), where † conjugate-transposes and the
     D -> D^-1 substitution applies to the conjugated transpose.
     """
-    if not h.rows:
-        return 0
-    return laurent_rank(h @ h.conj().transpose().subs_inverse())
+    rows = h._entries
+    return laurent_rank(_gram(rows, [[p.conj() for p in row] for row in rows]))
 
 
 def css_conv_ebits(h1: LaurentMatrix, h2: LaurentMatrix) -> int:
@@ -533,6 +474,4 @@ def css_conv_ebits(h1: LaurentMatrix, h2: LaurentMatrix) -> int:
         raise ShapeError(
             f"parity checks have different lengths: {h1.cols} vs {h2.cols}"
         )
-    if not (h1.rows and h2.rows):
-        return 0
-    return laurent_rank(h1 @ h2.transpose().subs_inverse())
+    return laurent_rank(_gram(h1._entries, h2._entries))

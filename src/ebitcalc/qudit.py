@@ -104,11 +104,6 @@ class ModMatrix:
     def to_array(self) -> np.ndarray:
         return self._entries.copy()
 
-    def scale_row(self, i: int, factor: int) -> "ModMatrix":
-        out = _exact(self.to_array(), self.modulus)
-        out[i] = (out[i] * (factor % self.modulus)) % self.modulus
-        return ModMatrix(out, self.modulus)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ModMatrix):
             return NotImplemented

@@ -109,13 +109,6 @@ class QuantumCheckMatrix:
             BinMatrix(len(keep), n, (hx.row_bits(i) for i in keep)),
         )
 
-    def row_product(self, i: int, j: int) -> int:
-        """Symplectic product of generator rows i and j."""
-        return (
-            (self.hz.row_bits(i) & self.hx.row_bits(j)).bit_count()
-            + (self.hx.row_bits(i) & self.hz.row_bits(j)).bit_count()
-        ) & 1
-
 
 def symplectic_product_table(hz: BinMatrix, hx: BinMatrix) -> BinMatrix:
     """Pairwise symplectic products of raw (Z | X) rows.

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -448,3 +449,86 @@ def test_far_exponent_is_rejected_before_it_is_stored(tmp_path, kind, body):
     assert code == EXIT_DOMAIN
     assert "outside [-64, 64]" in result.stderr
     assert peak < 5_000_000
+
+
+@pytest.mark.parametrize(
+    "text, code, stream, expected",
+    [
+        # Finite entries whose products overflow float64.
+        ("cvcheck 2 1\n1e308 | 1e308\n-1e308 | 1e308\n", EXIT_DOMAIN, 1, "overflow"),
+        # A finite product near the float64 maximum, with omega01, omega12,
+        # omega03 and omega23 equal, whose elimination doubles an entry.
+        (
+            "cvcheck 4 2\n0 0 | 1e154 0\n1e154 -1e154 | 0 0\n"
+            "0 0 | 0 1e154\n1e154 1e154 | 0 0\n",
+            EXIT_OK,
+            0,
+            "entangled modes: 2",
+        ),
+    ],
+    ids=["product", "elimination"],
+)
+def test_cv_overflow_is_named_without_warnings(tmp_path, text, code, stream, expected):
+    path = tmp_path / "big.cvcheck"
+    path.write_text(text)
+    result = subprocess.run(
+        [sys.executable, "-m", "ebitcalc", "cv", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == code
+    assert expected in (result.stdout, result.stderr)[stream]
+    assert "Warning" not in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+# Every command with fixtures of its input kind.
+FUZZ_COMMANDS = [
+    ("ebits", "fivequbit.qcheck"),
+    ("params", "dependent.qcheck"),
+    ("sgsop", "singlequbit.qcheck"),
+    ("verify", "fivequbit.qcheck"),
+    ("css", "hamming74.gf2", "hamming74.gf2"),
+    ("gf4", "example.gf4"),
+    ("gf4-expand", "example.gf4"),
+    ("qudit", "pair3.qcheckd"),
+    ("cv", "pair.cvcheck"),
+    ("conv", "conv5x5.conv"),
+    ("conv4", "hd.conv4"),
+    ("conv-css", "h1mat.conv", "h2mat.conv"),
+]
+
+# Bytes that the formats give a meaning to, so mutations reach past the
+# first parse error more often than arbitrary bytes would.
+FUZZ_BYTES = b"0123456789 \n|,.+-^#Dwve"
+
+
+def _mutate(rng: random.Random, data: bytes) -> bytes:
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 2)):
+        at = rng.randrange(len(out) + 1)
+        byte = rng.choice(FUZZ_BYTES) if rng.random() < 0.9 else rng.randrange(256)
+        action = rng.randrange(3)
+        if action == 0 and at < len(out):
+            out[at] = byte
+        elif action == 1:
+            out.insert(at, byte)
+        elif at < len(out):
+            del out[at]
+    return bytes(out)
+
+
+@pytest.mark.parametrize("command", FUZZ_COMMANDS, ids=lambda c: c[0])
+def test_mutated_fixtures_exit_with_a_documented_code(capsys, tmp_path, command):
+    name, *fixtures = command
+    rng = random.Random(name)
+    for case in range(25):
+        paths = [str(DATA / fixture) for fixture in fixtures]
+        target = rng.randrange(len(paths))  # one file changes, the others parse
+        path = tmp_path / f"{case}-{fixtures[target]}"
+        path.write_bytes(_mutate(rng, (DATA / fixtures[target]).read_bytes()))
+        paths[target] = str(path)
+        code = main([name, *paths])
+        capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_DOMAIN), (name, case)

@@ -6,10 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ebitcalc import BinMatrix, LaurentPoly, ParseError, UnsupportedModulusError
+from ebitcalc import BinMatrix, LaurentPoly, ParseError
 from ebitcalc.formats import (
-    format_conv_pair,
-    format_conv_plain,
     format_gf2,
     format_qcheck,
     parse_conv_pair,
@@ -20,7 +18,6 @@ from ebitcalc.formats import (
     parse_poly,
     parse_qcheck,
     parse_qcheckd,
-    parse_zmod,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -121,16 +118,6 @@ def test_gf4_parse():
         parse_gf4("gf4 1 2\n1z\n")
 
 
-def test_zmod_parse():
-    m = parse_zmod("zmod 5 2 3\n1 2 3\n4 0 1\n")
-    assert m.modulus == 5
-    assert m.to_array().tolist() == [[1, 2, 3], [4, 0, 1]]
-    with pytest.raises(ParseError, match="expected 3 residues"):
-        parse_zmod("zmod 5 1 3\n1 2\n")
-    with pytest.raises(UnsupportedModulusError):
-        parse_zmod("zmod 6 1 1\n3\n")
-
-
 def test_qcheckd_parse():
     hz, hx = parse_qcheckd((DATA / "pair3.qcheckd").read_text())
     assert hz.modulus == hx.modulus == 3
@@ -149,16 +136,16 @@ def test_cvcheck_parse():
 
 
 def test_poly_token_grammar():
-    assert parse_poly("0").is_zero()
+    assert not parse_poly("0")
     assert parse_poly("1") == LaurentPoly.one()
     assert parse_poly("D") == LaurentPoly.from_exponents([1])
     assert parse_poly("D^4") == LaurentPoly.from_exponents([4])
     assert parse_poly("D^-2") == LaurentPoly.from_exponents([-2])
     assert parse_poly("1+D+D^-1") == LaurentPoly.from_exponents([0, 1, -1])
     assert parse_poly(" 1 + D ") == LaurentPoly.from_exponents([0, 1])
-    assert parse_poly("w*D^2", gf4=True) == LaurentPoly.delay(2, 2)
-    assert parse_poly("v", gf4=True) == LaurentPoly.delay(0, 3)
-    assert parse_poly("w*1", gf4=True) == LaurentPoly.delay(0, 2)
+    assert parse_poly("w*D^2", gf4=True) == LaurentPoly([(2, 2)])
+    assert parse_poly("v", gf4=True) == LaurentPoly([(0, 3)])
+    assert parse_poly("w*1", gf4=True) == LaurentPoly([(0, 2)])
 
 
 def test_poly_token_errors():
@@ -176,7 +163,16 @@ def test_poly_token_errors():
 
 def test_conv_pair_round_trip():
     h = parse_conv_pair((DATA / "conv5x5.conv").read_text())
-    assert parse_conv_pair(format_conv_pair(h)) == h
+    # the fixture as LaurentPoly.__str__ writes it, spaced differently
+    text = """conv 5 5
+    0,0,0,0,0 | 1+D,0,D,1,1+D
+    1+D,D,0,1,1+D | 0,0,0,0,0
+    0,0,D,D,D | 0,1,0,1,1
+    0,D^-1,1,D^-1,0 | 0,0,0,0,0
+    0,D^-1,0,0,0 | 0,0,1,0,0
+    """
+    assert parse_conv_pair(text) == h
+    assert [str(h.hx.entry(0, j)) for j in range(5)] == ["1+D", "0", "D", "1", "1+D"]
     assert h.generators == 5 and h.n == 5
 
 
@@ -192,12 +188,13 @@ def test_conv_plain_rejects_bar():
 
 def test_conv_plain_round_trip():
     m = parse_conv_plain((DATA / "h2mat.conv").read_text())
-    assert parse_conv_plain(format_conv_plain(m)) == m
+    assert parse_conv_plain("conv 1 2\nD, D^-1+1\n") == m
+    assert [str(m.entry(0, j)) for j in range(2)] == ["D", "D^-1+1"]
 
 
 def test_conv4_allows_coefficients():
     m = parse_conv_plain((DATA / "hd.conv4").read_text(), tag="conv4")
-    assert m.entry(0, 1) == LaurentPoly.delay(-1, 2)
+    assert m.entry(0, 1) == LaurentPoly([(-1, 2)])
     # but a plain conv file may not carry them
     with pytest.raises(ParseError, match="only conv4"):
         parse_conv_plain("conv 1 1\nw*D\n")

@@ -136,7 +136,10 @@ def test_rank_direct_sum_adds(seed):
     rng = random.Random(200 + seed)
     a = random_bin_matrix(rng, rng.randint(0, 6), rng.randint(1, 6))
     b = random_bin_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-    assert rank(a.direct_sum(b)) == rank(a) + rank(b)
+    # block diagonal: b's rows shifted past a's columns
+    words = [a.row_bits(i) for i in range(a.rows)]
+    words += [b.row_bits(i) << a.cols for i in range(b.rows)]
+    assert rank(BinMatrix(a.rows + b.rows, a.cols + b.cols, words)) == rank(a) + rank(b)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -185,7 +188,6 @@ def test_stacking_shapes():
     b = BinMatrix.from_rows([[1, 1], [0, 0]])
     assert a.hstack(b).to_strings() == ["1011", "0100"]
     assert a.vstack(b).to_strings() == ["10", "01", "11", "00"]
-    assert a.direct_sum(b).to_strings() == ["1000", "0100", "0011", "0000"]
     with pytest.raises(ShapeError):
         a.hstack(BinMatrix.zeros(3, 2))
     with pytest.raises(ShapeError):

@@ -30,7 +30,7 @@ from ebitcalc import (
     shifted_symplectic_matrix,
 )
 from ebitcalc.formats import parse_conv_pair, parse_poly
-from ebitcalc.laurent import _exact_quotient
+from ebitcalc.laurent import _exact_quotient, _gram
 from ebitcalc.verify import (
     laurent_rank_by_evaluation,
     random_check_matrix,
@@ -82,7 +82,7 @@ def _random_laurent_pair(rng, max_n=6, gf4=False):
 
 
 def test_characteristic_two_addition():
-    assert (ONE_PLUS_D + ONE_PLUS_D).is_zero()
+    assert not ONE_PLUS_D + ONE_PLUS_D
 
 
 def test_substitute_inverse():
@@ -103,8 +103,8 @@ def test_poly_string_round_trip():
 
 
 def test_gf4_coefficient_product():
-    w_d = LaurentPoly.delay(1, 2)  # w*D
-    v_dinv = LaurentPoly.delay(-1, 3)  # v*D^-1
+    w_d = LaurentPoly([(1, 2)])  # w*D
+    v_dinv = LaurentPoly([(-1, 3)])  # v*D^-1
     assert w_d * v_dinv == LaurentPoly.one()  # w*v = 1, exponents cancel
 
 
@@ -132,7 +132,11 @@ def test_shifted_product_constant_pair():
 def test_shifted_symmetry_invariant(seed):
     rng = random.Random(seed)
     omega = shifted_symplectic_matrix(_random_laurent_pair(rng))
-    assert omega == omega.transpose().subs_inverse()
+    assert all(
+        omega.entry(i, j) == omega.entry(j, i).subs_inverse()
+        for i in range(omega.rows)
+        for j in range(omega.cols)
+    )
 
 
 # -- rank -------------------------------------------------------------------
@@ -185,7 +189,7 @@ def test_conv_ebits_constant_pair():
 
 def test_gf4_conv_singletons():
     assert gf4_conv_ebits(LaurentMatrix([[LaurentPoly.one()]])) == 1
-    assert gf4_conv_ebits(LaurentMatrix([[LaurentPoly.delay(0, 2)]])) == 1
+    assert gf4_conv_ebits(LaurentMatrix([[LaurentPoly([(0, 2)])]])) == 1
 
 
 def test_gf4_conv_self_cancelling_row():
@@ -194,8 +198,11 @@ def test_gf4_conv_self_cancelling_row():
 
 
 def test_gf4_conv_fixture_value_backed_by_evaluation():
-    m = LaurentMatrix([[ONE_PLUS_D, LaurentPoly.delay(-1, 2)]])
-    product = m @ m.conj().transpose().subs_inverse()
+    row = [ONE_PLUS_D, LaurentPoly([(-1, 2)])]
+    m = LaurentMatrix([row])
+    product = LaurentMatrix(
+        [[LaurentPoly(_reference_gram([row], [[p.conj() for p in row]])[0][0])]]
+    )
     rng = random.Random(11)
     assert laurent_rank_by_evaluation(product, trials=5, rng=rng) == 1
     assert gf4_conv_ebits(m) == 1
@@ -228,7 +235,7 @@ def test_constant_entries_degenerate_to_binary_count(seed):
 def test_constant_gf4_degenerates_to_block_count(seed):
     rng = random.Random(70 + seed)
     m = random_gf4_matrix(rng, rng.randint(1, 4), rng.randint(1, 6))
-    assert gf4_conv_ebits(LaurentMatrix.from_constant_gf4(m)) == gf4_ebits(m)
+    assert gf4_conv_ebits(_constant_gf4(m)) == gf4_ebits(m)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -277,24 +284,21 @@ term_lists = st.lists(
 
 
 @settings(derandomize=True, max_examples=300)
-@given(term_lists, term_lists, st.integers(-5, 5))
-@example([], [], 0)
-@example([(3, 2)], [(-3, 3)], 1)
-@example([(0, 1), (0, 1)], [(2, 1), (2, 3)], -2)
-def test_poly_operations_match_dict_reference_property(ta, tb, delta):
+@given(term_lists, term_lists)
+@example([], [])
+@example([(3, 2)], [(-3, 3)])
+@example([(0, 1), (0, 1)], [(2, 1), (2, 3)])
+def test_poly_operations_match_dict_reference_property(ta, tb):
     a, b = LaurentPoly(ta), LaurentPoly(tb)
     ra, rb = _merge(ta), _merge(tb)
     assert a.terms() == ra
-    assert a.support() == tuple(sorted(ra))
     assert (a.min_exp(), a.max_exp()) == (
         (min(ra), max(ra)) if ra else (None, None)
     )
-    assert all(a.coeff(e) == ra.get(e, 0) for e in range(-9, 10))
     assert a.is_binary() == all(c == 1 for c in ra.values())
-    assert a.is_zero() == (not ra)
+    assert bool(a) == bool(ra)
     assert (a + b).terms() == _merge([*ra.items(), *rb.items()])
     assert (a * b).terms() == _reference_product(ra, rb)
-    assert a.shifted(delta).terms() == {e + delta: c for e, c in ra.items()}
     assert a.subs_inverse().terms() == {-e: c for e, c in ra.items()}
     assert a.conj().terms() == {e: gf4_conj(c) for e, c in ra.items()}
     # equal values compare and hash equal whatever terms built them
@@ -319,14 +323,68 @@ def _grids(gf4: bool, rows=None, cols=None, max_side=5):
 
 
 def _low_rank_products(gf4: bool):
-    # A (r x k) @ B (k x c) with k <= 2 has rank at most k.
+    # sum_k A_ik B_jk(D^-1) over k <= 2 terms has rank at most k.
     @st.composite
     def build(draw):
         k = draw(st.integers(0, 2))
-        a = draw(_grids(gf4, cols=k))
-        return a @ draw(_grids(gf4, rows=k))
+        a, b = draw(_grids(gf4, cols=k)), draw(_grids(gf4, cols=k))
+        return _gram(a._entries, b._entries)
 
     return build()
+
+
+def _reference_gram(a_rows, b_rows) -> list[list[dict]]:
+    """Terms of sum_k a_ik * b_jk(D^-1), multiplied term by term."""
+    return [
+        [
+            _merge(
+                (e1 - e2, gf4_mul(c1, c2))
+                for x, y in zip(a, b)
+                for e1, c1 in x.terms().items()
+                for e2, c2 in y.terms().items()
+            )
+            for b in b_rows
+        ]
+        for a in a_rows
+    ]
+
+
+def _constant_gf4(m: GF4Matrix) -> LaurentMatrix:
+    return LaurentMatrix(
+        [
+            [LaurentPoly([(0, m.entry(i, j))]) for j in range(m.cols)]
+            for i in range(m.rows)
+        ],
+        cols=m.cols,
+    )
+
+
+@settings(derandomize=True, max_examples=60)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda k: st.tuples(
+            _grids(True, cols=k), st.one_of(_grids(False, cols=k), _grids(True, cols=k))
+        )
+    )
+)
+@example((LaurentMatrix.zeros(0, 3), LaurentMatrix.zeros(2, 3)))
+@example((LaurentMatrix.zeros(2, 3), LaurentMatrix.zeros(0, 3)))
+@example((LaurentMatrix.zeros(2, 0), LaurentMatrix.zeros(3, 0)))
+@example((LaurentMatrix.zeros(0, 0), LaurentMatrix.zeros(0, 0)))
+# w*D^64 times (v*D^-64)(D^-1) is D^128, outside the input window
+@example(
+    (
+        LaurentMatrix([[LaurentPoly([(64, 2)])]]),
+        LaurentMatrix([[LaurentPoly([(-64, 3)])]]),
+    )
+)
+def test_gram_matches_dict_reference_property(pair):
+    a, b = pair
+    product = _gram(a._entries, b._entries)
+    assert (product.rows, product.cols) == (a.rows, b.rows)
+    assert [
+        [product.entry(i, j).terms() for j in range(b.rows)] for i in range(a.rows)
+    ] == _reference_gram(a._entries, b._entries)
 
 
 # Empty and single-entry shapes are tried on every run, not left to chance.
@@ -334,7 +392,7 @@ EDGE_MATRICES = [
     LaurentMatrix.zeros(0, 3),
     LaurentMatrix.zeros(3, 0),
     LaurentMatrix([[LaurentPoly.from_exponents([-1, 2])]]),
-    LaurentMatrix([[LaurentPoly.delay(-2, 2)]]),
+    LaurentMatrix([[LaurentPoly([(-2, 2)])]]),
 ]
 
 
@@ -353,7 +411,10 @@ any_matrix = st.one_of(
 @given(any_matrix)
 @with_edge_matrices
 def test_rank_transpose_invariant_property(m):
-    assert laurent_rank(m) == laurent_rank(m.transpose())
+    transpose = LaurentMatrix(
+        [[m.entry(i, j) for i in range(m.rows)] for j in range(m.cols)], cols=m.rows
+    )
+    assert laurent_rank(m) == laurent_rank(transpose)
 
 
 @settings(derandomize=True, max_examples=200)
@@ -387,7 +448,7 @@ def test_constant_entries_give_the_block_ranks_property(shape):
     rows, cols, grid = shape
     m = GF4Matrix(grid) if rows else GF4Matrix.zeros(0, cols)
     assert laurent_rank(LaurentMatrix.from_constant_binary(m.lo)) == rank(m.lo)
-    assert laurent_rank(LaurentMatrix.from_constant_gf4(m)) == gf4_rank(m)
+    assert laurent_rank(_constant_gf4(m)) == gf4_rank(m)
 
 
 # -- regression bounds: the elimination is polynomial -------------------------
@@ -487,10 +548,11 @@ def test_rank_ten_conv_set_time_bound(seed):
 
 def test_exact_quotient_divides_or_raises():
     one_plus_d = LaurentPoly.from_exponents([0, 1])
-    a = LaurentPoly.from_exponents([-3, 5]) * LaurentPoly.delay(2, 2)
+    a = LaurentPoly.from_exponents([-3, 5]) * LaurentPoly([(2, 2)])
+    v_d4 = LaurentPoly([(4, 3)])
     assert _exact_quotient(a * one_plus_d, one_plus_d) == a
-    assert _exact_quotient(a, LaurentPoly.delay(4, 3)) * LaurentPoly.delay(4, 3) == a
-    assert _exact_quotient(LaurentPoly.zero(), one_plus_d).is_zero()
+    assert _exact_quotient(a, v_d4) * v_d4 == a
+    assert not _exact_quotient(LaurentPoly.zero(), one_plus_d)
     with pytest.raises(InternalInvariantError):
         _exact_quotient(LaurentPoly.from_exponents([0, 2, 3]), one_plus_d)
     with pytest.raises(InternalInvariantError):

@@ -5,14 +5,19 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ebitcalc import (
+    BinMatrix,
     ModMatrix,
     ShapeError,
     UnsupportedModulusError,
     ebit_count,
     mod_rank,
     qudit_ebits,
+    rank,
+    symplectic_product_table,
 )
 from ebitcalc.verify import random_check_matrix
 
@@ -128,9 +133,6 @@ def test_large_modulus_agrees_with_python_ints(d, seed):
     count = qudit_ebits(ModMatrix.from_rows(z, d), ModMatrix.from_rows(x, d))
     assert count == _python_rank(omega, d) // 2
     assert mod_rank(ModMatrix.from_rows(z, d)) == _python_rank(z, d)
-    factor = pick() or 1
-    scaled = ModMatrix.from_rows(z, d).scale_row(0, factor)
-    assert [scaled.entry(0, j) for j in range(n)] == [v * factor % d for v in z[0]]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -178,6 +180,30 @@ def test_mod_two_agrees_with_binary_count(seed):
     assert qudit_ebits(hz, hx) == ebit_count(h)
 
 
+@st.composite
+def _binary_pairs(draw):
+    """(Z rows, X rows, n): any rows, dependent or zero ones included."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 12))
+    row = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    block = st.lists(row, min_size=m, max_size=m)
+    return draw(block), draw(block), n
+
+
+@settings(derandomize=True, max_examples=100)
+@given(_binary_pairs())
+@example(([], [], 0))
+@example(([], [], 3))
+@example(([[], []], [[], []], 0))
+@example(([[1]], [[1]], 1))
+def test_mod_two_equals_binary_count_property(pair):
+    z, x, n = pair
+    hz, hx = BinMatrix.from_rows(z, n), BinMatrix.from_rows(x, n)
+    qz, qx = (
+        ModMatrix(np.array(v, dtype=np.int64).reshape(len(v), n), 2) for v in (z, x)
+    )
+    assert 2 * qudit_ebits(qz, qx) == rank(symplectic_product_table(hz, hx))
+
+
 @pytest.mark.parametrize("d", [3, 5, 7])
 @pytest.mark.parametrize("seed", range(10))
 def test_product_antisymmetric_and_even_rank(d, seed):
@@ -201,6 +227,10 @@ def test_row_scaling_leaves_count_unchanged(d, seed):
     hz, hx = _random_mod_pair(rng, d, generators, n)
     row = rng.randrange(generators)
     factor = rng.randrange(1, d)
-    assert qudit_ebits(hz.scale_row(row, factor), hx.scale_row(row, factor)) == qudit_ebits(
-        hz, hx
-    )
+
+    def scaled(m):
+        grid = m.to_array()
+        grid[row] *= factor
+        return ModMatrix(grid, d)
+
+    assert qudit_ebits(scaled(hz), scaled(hx)) == qudit_ebits(hz, hx)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ebitcalc import (
     BinMatrix,
@@ -11,14 +13,18 @@ from ebitcalc import (
     LaurentPoly,
     QuantumCheckMatrix,
     SizeLimitError,
+    ebit_count,
     gf4_rank,
     rank,
+    symplectic_gram_schmidt,
 )
+from ebitcalc import symplectic
 from ebitcalc.verify import (
     DEFAULT_SEED,
     BinaryExtField,
     gf4_rank_by_span_enumeration,
     laurent_rank_by_evaluation,
+    product_matrix_by_popcount,
     random_bin_matrix,
     random_check_matrix,
     random_full_rank_matrix,
@@ -198,3 +204,45 @@ def test_random_generators_validate():
     assert rank(m) == 5
     g = random_gf4_matrix(rng, 3, 5, full_row_rank=True)
     assert gf4_rank(g) == 3
+
+
+def test_enumeration_oracle_builds_its_own_products(monkeypatch):
+    h = random_check_matrix(random.Random(20), 12, 20)
+    products = product_matrix_by_popcount(h)
+    count = ebit_count(h)
+    assert count > 0
+    # A wrong but symmetric product for h alone, so that the pairing
+    # procedure's own checks still see the true products of its output.
+    true_table = symplectic.symplectic_product_table
+    monkeypatch.setattr(
+        symplectic,
+        "symplectic_product_table",
+        lambda hz, hx: BinMatrix.zeros(20, 20) if hz is h.hz else true_table(hz, hx),
+    )
+    assert ebit_count(h) == 0  # the formula reads the patched product
+    assert product_matrix_by_popcount(h) == products
+    report = verify_code(h)
+    assert report.oracle_value == report.procedure_value == count
+    assert not report.agreement
+
+
+@st.composite
+def _generator_sets(draw):
+    """Up to 20 random (Z | X) rows on up to 10 qubits, dependent ones dropped."""
+    n = draw(st.integers(1, 10))
+    words = draw(st.lists(st.integers(0, (1 << 2 * n) - 1), max_size=20))
+    mask = (1 << n) - 1
+    return QuantumCheckMatrix.reduced(
+        BinMatrix(len(words), n, [w & mask for w in words]),
+        BinMatrix(len(words), n, [w >> n for w in words]),
+    )
+
+
+# A 20-generator enumeration takes about a second; the test above runs one.
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_generator_sets())
+@example(QuantumCheckMatrix.reduced(BinMatrix.zeros(0, 3), BinMatrix.zeros(0, 3)))
+def test_formula_procedure_and_enumeration_agree_property(h):
+    formula = ebit_count(h)
+    assert symplectic_gram_schmidt(h).ebits == formula
+    assert rank_by_span_enumeration(product_matrix_by_popcount(h)) == 2 * formula
