@@ -1,12 +1,17 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ebitcalc.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 
@@ -100,6 +105,37 @@ def test_gf4_expand_feeds_ebits(capsys, tmp_path):
     code, out2, _ = run(capsys, "ebits", str(expanded))
     assert code == EXIT_OK
     assert out2.strip() == "ebits: 2"
+
+
+def _main_stdout(*argv):
+    """Run the CLI in process; hypothesis cannot share capsys across examples."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    assert code == EXIT_OK, argv
+    return out.getvalue()
+
+
+@st.composite
+def _gf4_texts(draw):
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    row = st.text("01wv", min_size=cols, max_size=cols)
+    lines = draw(st.lists(row, min_size=rows, max_size=rows))
+    return "\n".join([f"gf4 {rows} {cols}", *lines]) + "\n"
+
+
+@settings(derandomize=True, max_examples=60)
+@given(_gf4_texts())
+@example("gf4 0 3\n")
+@example("gf4 3 2\nw1\nvw\n11\n")  # dependent rows
+def test_gf4_import_equals_count_of_its_expansion_property(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        source, expanded = Path(tmp) / "h.gf4", Path(tmp) / "h.qcheck"
+        source.write_text(text)
+        quaternary = json.loads(_main_stdout("gf4", "--json", str(source)))
+        expanded.write_text(_main_stdout("gf4-expand", "--reduce", str(source)))
+        binary = json.loads(_main_stdout("ebits", "--json", str(expanded)))
+    assert quaternary["ebits"] == binary["ebits"]
 
 
 def test_qudit_command(capsys):

@@ -1,9 +1,13 @@
 """Tests for check matrices, the ebit formula, and the pairing procedure."""
 
 import random
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ebitcalc import symplectic
 from ebitcalc import (
     BinMatrix,
     DependentRowsError,
@@ -214,3 +218,165 @@ def test_logical_count_is_nonnegative_for_valid_sets(seed):
     assert p.logical >= 0
     assert p.ancillas >= 0
     assert p.logical == p.n - (p.ancillas + 2 * p.ebits) + p.ebits
+
+
+def _reference_sgsop(h):
+    """The pairing procedure as a plain double loop that rescans every row
+    for every pair, with no isotropic-row skip: (pairs, isotropic,
+    transform rows, transformed Z rows, transformed X rows)."""
+    m = h.generators
+    z = [h.hz.row_bits(i) for i in range(m)]
+    x = [h.hx.row_bits(i) for i in range(m)]
+    g = [1 << i for i in range(m)]
+
+    def sprod(i, j):
+        return ((z[i] & x[j]).bit_count() + (x[i] & z[j]).bit_count()) & 1
+
+    def swap(i, j):
+        for rows in (z, x, g):
+            rows[i], rows[j] = rows[j], rows[i]
+
+    pairs = []
+    done = 0
+    while True:
+        found = next(
+            ((i, j) for i in range(done, m) for j in range(i + 1, m) if sprod(i, j)),
+            None,
+        )
+        if found is None:
+            break
+        swap(done, found[0])
+        swap(done + 1, found[1])
+        a, b = done, done + 1
+        for r in range(done + 2, m):
+            hit_a, hit_b = sprod(r, b), sprod(r, a)
+            for rows in (z, x, g):
+                if hit_a:
+                    rows[r] ^= rows[a]
+                if hit_b:
+                    rows[r] ^= rows[b]
+        pairs.append((a, b))
+        done += 2
+    return tuple(pairs), tuple(range(done, m)), g, z, x
+
+
+def _outcome(result):
+    t = result.transformed
+    return (
+        result.pairs,
+        result.isotropic,
+        [result.transform.row_bits(i) for i in range(result.transform.rows)],
+        [t.hz.row_bits(i) for i in range(t.generators)],
+        [t.hx.row_bits(i) for i in range(t.generators)],
+    )
+
+
+def _commuting_first_set(rng, n, c, k, layers=12):
+    """Generator set on n qubits needing exactly c ebits, its k commuting
+    rows listed first.
+
+    Starts from c pairs (Z_i, X_i) and k rows Z_{c+j}, then scrambles the
+    qubits with layers of CNOTs, Hadamards and phases, each acting on
+    every row word at once and preserving every symplectic product.  The
+    commuting block is mixed within itself; the pair block is mixed
+    within itself and gets random commuting rows added.
+    """
+    assert 0 <= c and 0 <= k and c + k <= n
+    z = [1 << (r // 2) if r % 2 == 0 else 0 for r in range(2 * c)]
+    x = [1 << (r // 2) if r % 2 else 0 for r in range(2 * c)]
+    z += [1 << (c + j) for j in range(k)]
+    x += [0] * k
+    for _ in range(layers if n > 1 else 0):
+        # CNOTs from the qubits in `controls` to those s places above them
+        s = rng.randrange(1, n)
+        controls = rng.getrandbits(n - s)
+        controls &= ~(controls << s)
+        targets = controls << s
+        hadamard, phase = rng.getrandbits(n), rng.getrandbits(n)
+        for r in range(len(z)):
+            x[r] ^= (x[r] & controls) << s
+            z[r] ^= (z[r] & targets) >> s
+            swapped = (z[r] ^ x[r]) & hadamard
+            z[r] ^= swapped
+            x[r] ^= swapped
+            z[r] ^= x[r] & phase
+
+    def mix(block):
+        for _ in range(layers * len(block)):
+            p, q = rng.randrange(len(block)), rng.randrange(len(block))
+            if p != q:
+                z[block[p]] ^= z[block[q]]
+                x[block[p]] ^= x[block[q]]
+
+    pair_rows, commuting_rows = list(range(2 * c)), list(range(2 * c, 2 * c + k))
+    mix(commuting_rows)
+    mix(pair_rows)
+    for p in pair_rows:
+        for q in commuting_rows:
+            if rng.getrandbits(1):
+                z[p] ^= z[q]
+                x[p] ^= x[q]
+    order = commuting_rows + pair_rows
+    return QuantumCheckMatrix(
+        BinMatrix(len(order), n, (z[r] for r in order)),
+        BinMatrix(len(order), n, (x[r] for r in order)),
+    )
+
+
+@st.composite
+def _random_sets(draw):
+    """Up to 2n random (Z | X) rows on up to 10 qubits, dependent ones dropped."""
+    n = draw(st.integers(1, 10))
+    words = draw(st.lists(st.integers(0, (1 << 2 * n) - 1), max_size=2 * n))
+    mask = (1 << n) - 1
+    return QuantumCheckMatrix.reduced(
+        BinMatrix(len(words), n, [w & mask for w in words]),
+        BinMatrix(len(words), n, [w >> n for w in words]),
+    )
+
+
+@st.composite
+def _commuting_first_sets(draw):
+    n = draw(st.integers(1, 10))
+    c = draw(st.integers(0, n))
+    k = draw(st.integers(0, n - c))
+    return _commuting_first_set(random.Random(draw(st.integers(0, 2**32))), n, c, k)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.one_of(_random_sets(), _commuting_first_sets()))
+@example(QuantumCheckMatrix(BinMatrix.zeros(0, 3), BinMatrix.zeros(0, 3)))
+@example(QuantumCheckMatrix.from_pauli_strings(["XZY"]))
+@example(_commuting_first_set(random.Random(7), 24, 6, 10))
+def test_sgsop_matches_rescanning_reference_property(h):
+    assert _outcome(symplectic_gram_schmidt(h)) == _reference_sgsop(h)
+
+
+def test_commuting_first_set_has_the_requested_count():
+    h = _commuting_first_set(random.Random(3), 40, 8, 20)
+    omega = product_matrix_by_popcount(h)
+    assert all(not omega.row_bits(i) for i in range(20))
+    assert ebit_count(h) == 8
+
+
+def test_sgsop_time_bound_with_commuting_rows_first():
+    # 384 generators on 512 qubits, the 192 commuting ones first: a pair
+    # search that rescans them for every pair takes over a second here.
+    h = _commuting_first_set(random.Random(384), 512, 96, 192)
+    start = time.perf_counter()
+    result = symplectic_gram_schmidt(h)
+    elapsed = time.perf_counter() - start
+    assert result.ebits == 96
+    assert elapsed < 0.5, f"sgsop took {elapsed:.2f} s"
+
+
+def test_procedure_builds_its_own_products(monkeypatch):
+    h = random_check_matrix(random.Random(21), 12, 20)
+    before = _outcome(symplectic_gram_schmidt(h))
+    assert before[0]
+    # A wrong but symmetric product: every generator commutes.
+    monkeypatch.setattr(
+        symplectic, "symplectic_product_table", lambda hz, hx: BinMatrix.zeros(hz.rows, hz.rows)
+    )
+    assert ebit_count(h) == 0  # the formula reads the patched product
+    assert _outcome(symplectic_gram_schmidt(h)) == before
