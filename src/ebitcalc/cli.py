@@ -87,53 +87,56 @@ def _load_check_matrix(path: str, reduce_rows: bool) -> QuantumCheckMatrix:
     return QuantumCheckMatrix(hz, hx)
 
 
-def _parameter_lines(p: CodeParameters, generators: int) -> list[str]:
-    return [
-        f"n: {p.n}",
-        f"generators: {generators}",
-        f"ebits: {p.ebits}",
-        f"logical: {p.logical}",
-        f"ancillas: {p.ancillas}",
-        f"parameters: {p.bracket()}",
-    ]
+def _count(command: str, label: str, c: int, n: int, generators: int, **extra) -> dict:
+    """Payload of a command that prints one count under ``label``."""
+    note = f" {_CONJECTURED_NOTE}" if extra.get("conjectured") else ""
+    return {
+        "json": _core(command, n=n, generators=generators, ebits=c, **extra),
+        "text": [f"{label}: {c}{note}"],
+        "quiet": c,
+    }
 
 
-def _parameter_warnings(p: CodeParameters) -> list[str]:
-    if p.logical < 0:
-        return [f"logical qubit count is negative ({p.logical})"]
-    return []
+def _parameters(command: str, p: CodeParameters, quiet: int | str) -> dict:
+    """Payload of a command that prints the full [[n, k; c]] bookkeeping."""
+    generators = p.n - p.logical + p.ebits
+    return {
+        "json": _core(
+            command,
+            n=p.n,
+            generators=generators,
+            ebits=p.ebits,
+            logical=p.logical,
+            ancillas=p.ancillas,
+            distance=p.distance,
+        ),
+        "text": [
+            f"n: {p.n}",
+            f"generators: {generators}",
+            f"ebits: {p.ebits}",
+            f"logical: {p.logical}",
+            f"ancillas: {p.ancillas}",
+            f"parameters: {p.bracket()}",
+        ],
+        "quiet": quiet,
+        "warnings": (
+            [f"logical qubit count is negative ({p.logical})"] if p.logical < 0 else []
+        ),
+    }
 
 
 def _cmd_ebits(args) -> dict:
     from .symplectic import ebit_count
 
     h = _load_check_matrix(args.file, args.reduce)
-    c = ebit_count(h)
-    return {
-        "json": _core("ebits", n=h.n, generators=h.generators, ebits=c),
-        "text": [f"ebits: {c}"],
-        "quiet": c,
-    }
+    return _count("ebits", "ebits", ebit_count(h), h.n, h.generators)
 
 
 def _cmd_params(args) -> dict:
     from .symplectic import code_parameters
 
-    h = _load_check_matrix(args.file, args.reduce)
-    p = code_parameters(h)
-    return {
-        "json": _core(
-            "params",
-            n=p.n,
-            generators=h.generators,
-            ebits=p.ebits,
-            logical=p.logical,
-            ancillas=p.ancillas,
-        ),
-        "text": _parameter_lines(p, h.generators),
-        "quiet": p.bracket(),
-        "warnings": _parameter_warnings(p),
-    }
+    p = code_parameters(_load_check_matrix(args.file, args.reduce))
+    return _parameters("params", p, p.bracket())
 
 
 def _cmd_sgsop(args) -> dict:
@@ -181,21 +184,7 @@ def _cmd_css(args) -> dict:
     if (args.d1 is None) != (args.d2 is None):
         raise _UsageError("--d1 and --d2 must be given together")
     p = css_parameters(h1, h2, args.d1, args.d2)
-    generators = p.n - p.logical + p.ebits
-    return {
-        "json": _core(
-            "css",
-            n=p.n,
-            generators=generators,
-            ebits=p.ebits,
-            logical=p.logical,
-            ancillas=p.ancillas,
-            distance=p.distance,
-        ),
-        "text": _parameter_lines(p, generators),
-        "quiet": p.ebits,
-        "warnings": _parameter_warnings(p),
-    }
+    return _parameters("css", p, p.ebits)
 
 
 def _cmd_gf4(args) -> dict:
@@ -203,20 +192,7 @@ def _cmd_gf4(args) -> dict:
 
     h = formats.parse_gf4(_read(args.file))
     p = gf4_parameters(h)
-    generators = p.n - p.logical + p.ebits
-    return {
-        "json": _core(
-            "gf4",
-            n=p.n,
-            generators=generators,
-            ebits=p.ebits,
-            logical=p.logical,
-            ancillas=p.ancillas,
-        ),
-        "text": _parameter_lines(p, generators),
-        "quiet": p.ebits,
-        "warnings": _parameter_warnings(p),
-    }
+    return _parameters("gf4", p, p.ebits)
 
 
 def _cmd_gf4_expand(args) -> dict:
@@ -243,13 +219,7 @@ def _cmd_qudit(args) -> dict:
 
     hz, hx = formats.parse_qcheckd(_read(args.file))
     c = qudit_ebits(hz, hx)
-    return {
-        "json": _core(
-            "qudit", n=hz.cols, generators=hz.rows, ebits=c, modulus=hz.modulus
-        ),
-        "text": [f"edits: {c}"],
-        "quiet": c,
-    }
+    return _count("qudit", "edits", c, hz.cols, hz.rows, modulus=hz.modulus)
 
 
 def _cmd_cv(args) -> dict:
@@ -261,11 +231,7 @@ def _cmd_cv(args) -> dict:
     z, x = formats.parse_cvcheck(_read(args.file))
     h = RealCheckMatrix(z, x, tolerance=tol)
     c = cv_ebit_count(h)
-    return {
-        "json": _core("cv", n=h.n, generators=h.generators, ebits=c, tolerance=tol),
-        "text": [f"entangled modes: {c}"],
-        "quiet": c,
-    }
+    return _count("cv", "entangled modes", c, h.n, h.generators, tolerance=tol)
 
 
 def _cmd_conv(args) -> dict:
@@ -273,13 +239,7 @@ def _cmd_conv(args) -> dict:
 
     h = formats.parse_conv_pair(_read(args.file))
     c = conv_ebits(h)
-    return {
-        "json": _core(
-            "conv", n=h.n, generators=h.generators, ebits=c, conjectured=True
-        ),
-        "text": [f"ebits per frame: {c} {_CONJECTURED_NOTE}"],
-        "quiet": c,
-    }
+    return _count("conv", "ebits per frame", c, h.n, h.generators, conjectured=True)
 
 
 def _cmd_conv4(args) -> dict:
@@ -287,13 +247,7 @@ def _cmd_conv4(args) -> dict:
 
     m = formats.parse_conv_plain(_read(args.file), tag="conv4")
     c = gf4_conv_ebits(m)
-    return {
-        "json": _core(
-            "conv4", n=m.cols, generators=m.rows, ebits=c, conjectured=True
-        ),
-        "text": [f"ebits per frame: {c} {_CONJECTURED_NOTE}"],
-        "quiet": c,
-    }
+    return _count("conv4", "ebits per frame", c, m.cols, m.rows, conjectured=True)
 
 
 def _cmd_conv_css(args) -> dict:
@@ -302,17 +256,9 @@ def _cmd_conv_css(args) -> dict:
     m1 = formats.parse_conv_plain(_read(args.file1), tag="conv")
     m2 = formats.parse_conv_plain(_read(args.file2), tag="conv")
     c = css_conv_ebits(m1, m2)
-    return {
-        "json": _core(
-            "conv-css",
-            n=m1.cols,
-            generators=m1.rows + m2.rows,
-            ebits=c,
-            conjectured=True,
-        ),
-        "text": [f"ebits per frame: {c} {_CONJECTURED_NOTE}"],
-        "quiet": c,
-    }
+    return _count(
+        "conv-css", "ebits per frame", c, m1.cols, m1.rows + m2.rows, conjectured=True
+    )
 
 
 def _cmd_verify(args) -> dict:

@@ -12,12 +12,13 @@ bulk with a fixed default seed so failures reproduce.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InternalInvariantError, SizeLimitError
-from .gf2 import BinMatrix, rank, row_reduce
+from .gf2 import BinMatrix, rank
 from .gf4 import GF4Matrix, _MUL, gf4_rank
 from .laurent import LaurentMatrix
 from .symplectic import (
@@ -66,88 +67,80 @@ def product_matrix_by_popcount(h: QuantumCheckMatrix) -> BinMatrix:
     )
 
 
-def rank_by_span_enumeration(m: BinMatrix) -> int:
-    """GF(2) rank by enumerating all 2^rows row combinations.
+def _vanishing_combinations(choices: list[list[int]]) -> int:
+    """Ways of taking one word from each entry of ``choices`` whose XOR is 0.
 
-    The span of r independent rows has exactly 2^r distinct vectors;
-    counting them needs no elimination at all.
+    Each half of the rows is enumerated in full and the combinations
+    whose two halves have equal sums are counted (Horowitz & Sahni,
+    JACM 1974), so r rows cost two tallies of about 2^(r/2) sums each.
+    """
+
+    def sums(half: list[list[int]]) -> Counter:
+        partial = [0]
+        for options in half:
+            partial = [s ^ w for s in partial for w in options]
+        return Counter(partial)
+
+    left = sums(choices[: len(choices) // 2])
+    right = sums(choices[len(choices) // 2 :])
+    return sum(count * right[s] for s, count in left.items())
+
+
+def rank_by_span_enumeration(m: BinMatrix) -> int:
+    """GF(2) rank by counting which of the 2^rows row combinations vanish.
+
+    Exactly 2^(rows - rank) of them do, so the count needs no elimination.
     """
     if m.rows > 20:
         raise SizeLimitError(f"span enumeration limited to 20 rows, got {m.rows}")
-    import numpy as np  # here, so that a verify call past the row limit never loads it
-
-    words = [m.row_bits(i) for i in range(m.rows)]
-    if m.cols <= 63:
-        span = np.zeros(1, dtype=np.uint64)
-        for w in words:
-            span = np.concatenate([span, span ^ np.uint64(w)])
-        span.sort()  # in place: np.unique costs about 20x more on 2^20 words
-        distinct = 1 + int(np.count_nonzero(span[1:] != span[:-1]))
-    else:
-        vectors = {0}
-        for w in words:
-            vectors |= {v ^ w for v in vectors}
-        distinct = len(vectors)
-    return distinct.bit_length() - 1
+    vanishing = _vanishing_combinations([[0, m.row_bits(i)] for i in range(m.rows)])
+    return m.rows - (vanishing.bit_length() - 1)
 
 
 def gf4_rank_by_span_enumeration(m: GF4Matrix) -> int:
-    """GF(4) rank by enumerating all 4^rows row combinations."""
+    """GF(4) rank by counting which of the 4^rows row combinations vanish:
+    exactly 4^(rows - rank) of them do."""
     if m.rows > 10:
         raise SizeLimitError(f"span enumeration limited to 10 rows, got {m.rows}")
-    import numpy as np
-
     # Rows pack into ints two bits per entry; GF(4) addition is then a
     # plain XOR because the 2-bit lanes never carry.
-    multiples = []
-    for i in range(m.rows):
-        per_scale = []
-        for scale in range(4):
-            packed = 0
-            for j in range(m.cols):
-                packed |= _MUL[scale][m.entry(i, j)] << (2 * j)
-            per_scale.append(packed)
-        multiples.append(per_scale)
-    if m.cols <= 31:
-        span = np.zeros(1, dtype=np.uint64)
-        for per_scale in multiples:
-            scaled = np.array(per_scale, dtype=np.uint64)
-            span = np.concatenate([span ^ s for s in scaled])
-        span.sort()
-        distinct = 1 + int(np.count_nonzero(span[1:] != span[:-1]))
-    else:
-        vectors = {0}
-        for per_scale in multiples:
-            vectors = {v ^ s for v in vectors for s in per_scale}
-        distinct = len(vectors)
-    return (distinct.bit_length() - 1) // 2
+    multiples = [
+        [
+            sum(_MUL[scale][m.entry(i, j)] << (2 * j) for j in range(m.cols))
+            for scale in range(4)
+        ]
+        for i in range(m.rows)
+    ]
+    vanishing = _vanishing_combinations(multiples)
+    return m.rows - (vanishing.bit_length() - 1) // 2
+
+
+def _forward_rank(rows: list[list], clear: Callable[[list, list, int], list]) -> int:
+    """Rank by forward elimination; ``clear(row, pivot_row, col)`` returns
+    ``row`` with its entry in ``col`` cancelled by a multiple of ``pivot_row``."""
+    pivot_row = 0
+    for col in range(len(rows[0]) if rows else 0):
+        hit = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
+        if hit is None:
+            continue
+        rows[pivot_row], rows[hit] = rows[hit], rows[pivot_row]
+        for r in range(pivot_row + 1, len(rows)):
+            if rows[r][col]:
+                rows[r] = clear(rows[r], rows[pivot_row], col)
+        pivot_row += 1
+        if pivot_row == len(rows):
+            break
+    return pivot_row
 
 
 def rational_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     """Exact rank over the rationals by fraction-based elimination."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    pivot_row = 0
-    for col in range(ncols):
-        hit = None
-        for r in range(pivot_row, nrows):
-            if work[r][col]:
-                hit = r
-                break
-        if hit is None:
-            continue
-        if hit != pivot_row:
-            work[pivot_row], work[hit] = work[hit], work[pivot_row]
-        pivot = work[pivot_row][col]
-        for r in range(pivot_row + 1, nrows):
-            if work[r][col]:
-                factor = work[r][col] / pivot
-                work[r] = [a - factor * b for a, b in zip(work[r], work[pivot_row])]
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return pivot_row
+
+    def clear(row: list, pivot_row: list, col: int) -> list:
+        factor = row[col] / pivot_row[col]
+        return [a - factor * b for a, b in zip(row, pivot_row)]
+
+    return _forward_rank([[Fraction(x) for x in row] for row in rows], clear)
 
 
 # ---------------------------------------------------------------------------
@@ -217,31 +210,11 @@ class BinaryExtField:
 
 
 def _field_rank(field: BinaryExtField, rows: list[list[int]]) -> int:
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivot_row = 0
-    for col in range(ncols):
-        hit = None
-        for r in range(pivot_row, nrows):
-            if rows[r][col]:
-                hit = r
-                break
-        if hit is None:
-            continue
-        if hit != pivot_row:
-            rows[pivot_row], rows[hit] = rows[hit], rows[pivot_row]
-        inv = field.inv(rows[pivot_row][col])
-        for r in range(pivot_row + 1, nrows):
-            if rows[r][col]:
-                factor = field.mul(rows[r][col], inv)
-                rows[r] = [
-                    a ^ field.mul(factor, b)
-                    for a, b in zip(rows[r], rows[pivot_row])
-                ]
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return pivot_row
+    def clear(row: list[int], pivot_row: list[int], col: int) -> list[int]:
+        factor = field.mul(row[col], field.inv(pivot_row[col]))
+        return [a ^ field.mul(factor, b) for a, b in zip(row, pivot_row)]
+
+    return _forward_rank(rows, clear)
 
 
 def _evaluate_matrix(
@@ -335,10 +308,7 @@ def verify_code(h: QuantumCheckMatrix) -> VerificationReport:
         raise InternalInvariantError("row transform is not invertible")
     if result.transform @ h.stacked() != result.transformed.stacked():
         raise InternalInvariantError("transform does not reproduce the output rows")
-    if (
-        row_reduce(h.stacked()).reduced
-        != row_reduce(result.transformed.stacked()).reduced
-    ):
+    if rank(h.stacked().vstack(result.transformed.stacked())) != h.generators:
         raise InternalInvariantError("row space changed under the pairing procedure")
 
     oracle = None

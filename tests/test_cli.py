@@ -378,12 +378,14 @@ def test_option_defaults_come_from_the_library(capsys):
 
 
 def test_binary_commands_do_not_import_numpy():
-    # Only qudit, cv and verify's span enumeration need numpy; verify skips
-    # enumeration on sets of more than 20 generators.
+    # Only qudit and cv need numpy; verify enumerates sets of up to 20
+    # generators, and skips larger ones, without it.
     commands = [
-        [cmd, str(DATA / "fivequbit.qcheck")] for cmd in ("ebits", "params", "sgsop")
+        [cmd, str(DATA / "fivequbit.qcheck")]
+        for cmd in ("ebits", "params", "sgsop", "verify")
     ] + [
         ["verify", str(DATA / "paired22.qcheck")],
+        ["verify", "--random", "3", "--max-n", "4"],
         ["gf4", str(DATA / "example.gf4")],
         ["gf4-expand", str(DATA / "example.gf4")],
         ["css", str(DATA / "hamming74.gf2"), str(DATA / "hamming74.gf2")],

@@ -59,7 +59,6 @@ def test_span_enumeration_size_limit():
 
 
 def test_span_enumeration_wide_matrix_fallback():
-    # more than 63 columns exercises the big-int path
     m = BinMatrix.identity(3).hstack(BinMatrix.zeros(3, 70))
     assert rank_by_span_enumeration(m) == 3
 
@@ -72,24 +71,50 @@ def test_gf4_span_enumeration_examples():
 
 
 def test_gf4_span_enumeration_wide_matrix_fallback():
-    # more than 31 columns exercises the big-int path
     rng = random.Random(3)
     m = random_gf4_matrix(rng, 3, 35)
     assert gf4_rank_by_span_enumeration(m) == gf4_rank(m)
 
 
+def _oracle_shapes(rng, limit, wide, seed):
+    """(rows, inner, cols, pad) of a product of a random rows x inner factor
+    and a random inner x cols factor behind ``pad`` zero columns: a random
+    shape, one at the row limit whose rank lies wholly past column ``wide``
+    (full for every third seed), and the 0-column and 0-row shapes.  An
+    inner width below the row count forces dependent rows."""
+    rows = rng.randint(0, limit)
+    return [
+        (rows, rng.randint(0, rows), rng.randint(1, wide + 16), 0),
+        (limit, limit - seed % 3, limit + seed, wide),
+        (seed % (limit + 1), seed % 4, 0, 0),
+        (0, seed % 4, seed, 0),
+    ]
+
+
+def _padded_bits(rng, rows, cols, pad=0):
+    return BinMatrix.zeros(rows, pad).hstack(random_bin_matrix(rng, rows, cols))
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_binary_oracle_matches_elimination(seed):
     rng = random.Random(seed)
-    m = random_bin_matrix(rng, rng.randint(0, 10), rng.randint(1, 12))
-    assert rank_by_span_enumeration(m) == rank(m)
+    for rows, inner, cols, pad in _oracle_shapes(rng, 20, 64, seed):
+        m = _padded_bits(rng, rows, inner) @ _padded_bits(rng, inner, cols, pad)
+        assert rank_by_span_enumeration(m) == rank(m) <= inner
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_gf4_oracle_matches_elimination(seed):
     rng = random.Random(300 + seed)
-    m = random_gf4_matrix(rng, rng.randint(1, 7), rng.randint(1, 8))
-    assert gf4_rank_by_span_enumeration(m) == gf4_rank(m)
+
+    def factor(rows, cols, pad=0):
+        return GF4Matrix.from_planes(
+            _padded_bits(rng, rows, cols, pad), _padded_bits(rng, rows, cols, pad)
+        )
+
+    for rows, inner, cols, pad in _oracle_shapes(rng, 10, 32, seed):
+        m = factor(rows, inner) @ factor(inner, cols, pad)
+        assert gf4_rank_by_span_enumeration(m) == gf4_rank(m) <= inner
 
 
 def test_rational_rank_fractions():
