@@ -61,17 +61,11 @@ def css_parameters(
     Code dimensions are inferred from parity-check ranks, not trusted
     from any header.  The distance is min(d1, d2) when both are given.
     """
-    c = css_ebits(h1, h2)
-    n = h1.cols
-    r1 = rank(h1)
-    r2 = rank(h2)
-    distance = min(d1, d2) if d1 is not None and d2 is not None else None
     return CodeParameters(
-        n=n,
-        logical=(n - r1) + (n - r2) - n + c,
-        ebits=c,
-        ancillas=r1 + r2 - 2 * c,
-        distance=distance,
+        n=h1.cols,
+        ebits=css_ebits(h1, h2),
+        generators=rank(h1) + rank(h2),
+        distance=min(d1, d2) if d1 is not None and d2 is not None else None,
     )
 
 
@@ -111,13 +105,5 @@ def gf4_parameters(h: GF4Matrix) -> CodeParameters:
 
     No distance is reported for quaternary imports.
     """
-    c = gf4_ebits(h)
-    n = h.cols
-    k = n - gf4_rank(h)
-    return CodeParameters(
-        n=n,
-        logical=2 * k - n + c,
-        ebits=c,
-        ancillas=2 * (n - k) - 2 * c,
-        distance=None,
-    )
+    # a rank-r quaternary check expands to 2r independent binary generators
+    return CodeParameters(n=h.cols, ebits=gf4_ebits(h), generators=2 * gf4_rank(h))

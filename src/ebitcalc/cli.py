@@ -21,6 +21,8 @@ from .errors import EbitcalcError, ParseError
 # Each handler imports the modules it runs, so a binary command never
 # loads numpy or the other input kinds.
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .symplectic import CodeParameters, QuantumCheckMatrix
 
 EXIT_OK = 0
@@ -41,31 +43,35 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _core(
-    command: str,
-    *,
-    n: int | None = None,
-    generators: int | None = None,
-    ebits: int | None = None,
-    logical: int | None = None,
-    ancillas: int | None = None,
-    conjectured: bool = False,
-    distance: int | None = None,
-    **extra,
-) -> dict:
-    obj = {
-        "command": command,
-        "n": n,
-        "generators": generators,
-        "ebits": ebits,
-        "logical": logical,
-        "ancillas": ancillas,
-        "conjectured": conjectured,
-    }
-    if distance is not None:
-        obj["distance"] = distance
-    obj.update(extra)
-    return obj
+# Every JSON object carries ``command``, ``conjectured`` and these counts,
+# null where a command has none.
+_CORE_COUNTS = ("n", "generators", "ebits", "logical", "ancillas")
+
+
+def _core(**fields) -> dict:
+    """JSON payload: the core keys, overridden and extended by the command's ``fields``."""
+    return {**dict.fromkeys(_CORE_COUNTS), "conjectured": False, **fields}
+
+
+# name -> (help, argparse arguments, handler), in ``--help`` order
+_COMMANDS: dict[str, tuple[str, tuple, Callable[[argparse.Namespace], dict]]] = {}
+
+
+def _arg(*names: str, **options) -> tuple:
+    return names, options
+
+
+def _command(name: str, help: str, *arguments: tuple):
+    """Register the decorated handler as subcommand ``name``."""
+
+    def register(handler):
+        _COMMANDS[name] = (help, arguments, handler)
+        return handler
+
+    return register
+
+
+_QCHECK_FILE = _arg("file", help="qcheck file")
 
 
 def _read(path: str) -> str:
@@ -87,37 +93,25 @@ def _load_check_matrix(path: str, reduce_rows: bool) -> QuantumCheckMatrix:
     return QuantumCheckMatrix(hz, hx)
 
 
-def _count(command: str, label: str, c: int, n: int, generators: int, **extra) -> dict:
+def _count(label: str, c: int, n: int, generators: int, **extra) -> dict:
     """Payload of a command that prints one count under ``label``."""
     note = f" {_CONJECTURED_NOTE}" if extra.get("conjectured") else ""
     return {
-        "json": _core(command, n=n, generators=generators, ebits=c, **extra),
+        "json": _core(n=n, generators=generators, ebits=c, **extra),
         "text": [f"{label}: {c}{note}"],
         "quiet": c,
     }
 
 
-def _parameters(command: str, p: CodeParameters, quiet: int | str) -> dict:
+def _parameters(p: CodeParameters, quiet: int | str) -> dict:
     """Payload of a command that prints the full [[n, k; c]] bookkeeping."""
-    generators = p.n - p.logical + p.ebits
+    fields = {key: getattr(p, key) for key in _CORE_COUNTS}
+    text = [f"{key}: {value}" for key, value in fields.items()]
+    if p.distance is not None:
+        fields["distance"] = p.distance
     return {
-        "json": _core(
-            command,
-            n=p.n,
-            generators=generators,
-            ebits=p.ebits,
-            logical=p.logical,
-            ancillas=p.ancillas,
-            distance=p.distance,
-        ),
-        "text": [
-            f"n: {p.n}",
-            f"generators: {generators}",
-            f"ebits: {p.ebits}",
-            f"logical: {p.logical}",
-            f"ancillas: {p.ancillas}",
-            f"parameters: {p.bracket()}",
-        ],
+        "json": _core(**fields),
+        "text": [*text, f"parameters: {p.bracket()}"],
         "quiet": quiet,
         "warnings": (
             [f"logical qubit count is negative ({p.logical})"] if p.logical < 0 else []
@@ -125,32 +119,30 @@ def _parameters(command: str, p: CodeParameters, quiet: int | str) -> dict:
     }
 
 
+@_command("ebits", "ebit count of a generator set", _QCHECK_FILE)
 def _cmd_ebits(args) -> dict:
     from .symplectic import ebit_count
 
     h = _load_check_matrix(args.file, args.reduce)
-    return _count("ebits", "ebits", ebit_count(h), h.n, h.generators)
+    return _count("ebits", ebit_count(h), h.n, h.generators)
 
 
+@_command("params", "[[n, k+c; c]] parameters", _QCHECK_FILE)
 def _cmd_params(args) -> dict:
     from .symplectic import code_parameters
 
     p = code_parameters(_load_check_matrix(args.file, args.reduce))
-    return _parameters("params", p, p.bracket())
+    return _parameters(p, p.bracket())
 
 
+@_command("sgsop", "symplectic Gram-Schmidt pairing", _QCHECK_FILE)
 def _cmd_sgsop(args) -> dict:
     from .symplectic import symplectic_gram_schmidt
 
     h = _load_check_matrix(args.file, args.reduce)
     result = symplectic_gram_schmidt(h)
     transform_rows = result.transform.to_strings()
-    transformed_rows = [
-        f"{z}|{x}"
-        for z, x in zip(
-            result.transformed.hz.to_strings(), result.transformed.hx.to_strings()
-        )
-    ]
+    transformed_rows = formats.qcheck_rows(result.transformed.hz, result.transformed.hx)
     text = [
         f"ebits: {result.ebits}",
         "pairs: " + (" ".join(f"({a},{b})" for a, b in result.pairs) or "none"),
@@ -162,7 +154,6 @@ def _cmd_sgsop(args) -> dict:
     ]
     return {
         "json": _core(
-            "sgsop",
             n=h.n,
             generators=h.generators,
             ebits=result.ebits,
@@ -176,6 +167,14 @@ def _cmd_sgsop(args) -> dict:
     }
 
 
+@_command(
+    "css",
+    "import two binary parity checks",
+    _arg("file1", help="gf2 file (bit-flip checks)"),
+    _arg("file2", help="gf2 file (phase-flip checks)"),
+    _arg("--d1", type=int, help="distance of the first code"),
+    _arg("--d2", type=int, help="distance of the second code"),
+)
 def _cmd_css(args) -> dict:
     from .classical import css_parameters
 
@@ -183,18 +182,26 @@ def _cmd_css(args) -> dict:
     h2 = formats.parse_gf2(_read(args.file2))
     if (args.d1 is None) != (args.d2 is None):
         raise _UsageError("--d1 and --d2 must be given together")
+    if args.d1 is not None and min(args.d1, args.d2) < 1:
+        raise _UsageError("--d1 and --d2 must be positive")
     p = css_parameters(h1, h2, args.d1, args.d2)
-    return _parameters("css", p, p.ebits)
+    return _parameters(p, p.ebits)
 
 
+@_command("gf4", "import a quaternary parity check", _arg("file", help="gf4 file"))
 def _cmd_gf4(args) -> dict:
     from .classical import gf4_parameters
 
     h = formats.parse_gf4(_read(args.file))
     p = gf4_parameters(h)
-    return _parameters("gf4", p, p.ebits)
+    return _parameters(p, p.ebits)
 
 
+@_command(
+    "gf4-expand",
+    "print the binary generator set of a quaternary import",
+    _arg("file", help="gf4 file"),
+)
 def _cmd_gf4_expand(args) -> dict:
     from .classical import gf4_to_binary
 
@@ -203,25 +210,31 @@ def _cmd_gf4_expand(args) -> dict:
     rendered = formats.format_qcheck(q.hz, q.hx).rstrip("\n")
     lines = rendered.split("\n")
     return {
-        "json": _core(
-            "gf4-expand",
-            n=q.n,
-            generators=q.generators,
-            check_matrix=lines[1:],
-        ),
+        "json": _core(n=q.n, generators=q.generators, check_matrix=lines[1:]),
         "text": lines,
         "quiet": rendered,
     }
 
 
+@_command("qudit", "edit count over a prime modulus", _arg("file", help="qcheckd file"))
 def _cmd_qudit(args) -> dict:
     from .qudit import qudit_ebits
 
     hz, hx = formats.parse_qcheckd(_read(args.file))
     c = qudit_ebits(hz, hx)
-    return _count("qudit", "edits", c, hz.cols, hz.rows, modulus=hz.modulus)
+    return _count("edits", c, hz.cols, hz.rows, modulus=hz.modulus)
 
 
+@_command(
+    "cv",
+    "entangled-mode count of a real generator set",
+    _arg("file", help="cvcheck file"),
+    _arg(
+        "--tol",
+        type=float,
+        help="relative rank tolerance (default: ebitcalc.cv.DEFAULT_TOLERANCE)",
+    ),
+)
 def _cmd_cv(args) -> dict:
     from .cv import DEFAULT_TOLERANCE, RealCheckMatrix, cv_ebit_count
 
@@ -231,36 +244,58 @@ def _cmd_cv(args) -> dict:
     z, x = formats.parse_cvcheck(_read(args.file))
     h = RealCheckMatrix(z, x, tolerance=tol)
     c = cv_ebit_count(h)
-    return _count("cv", "entangled modes", c, h.n, h.generators, tolerance=tol)
+    return _count("entangled modes", c, h.n, h.generators, tolerance=tol)
 
 
+@_command(
+    "conv",
+    "conjectured per-frame ebits, convolutional",
+    _arg("file", help="conv file (Z|X pair form)"),
+)
 def _cmd_conv(args) -> dict:
     from .laurent import conv_ebits
 
     h = formats.parse_conv_pair(_read(args.file))
     c = conv_ebits(h)
-    return _count("conv", "ebits per frame", c, h.n, h.generators, conjectured=True)
+    return _count("ebits per frame", c, h.n, h.generators, conjectured=True)
 
 
+@_command(
+    "conv4",
+    "conjectured per-frame ebits, quaternary convolutional import",
+    _arg("file", help="conv4 file (plain matrix form)"),
+)
 def _cmd_conv4(args) -> dict:
     from .laurent import gf4_conv_ebits
 
     m = formats.parse_conv_plain(_read(args.file), tag="conv4")
     c = gf4_conv_ebits(m)
-    return _count("conv4", "ebits per frame", c, m.cols, m.rows, conjectured=True)
+    return _count("ebits per frame", c, m.cols, m.rows, conjectured=True)
 
 
+@_command(
+    "conv-css",
+    "per-frame ebits for two binary convolutional parity checks",
+    _arg("file1", help="conv file (plain matrix form)"),
+    _arg("file2", help="conv file (plain matrix form)"),
+)
 def _cmd_conv_css(args) -> dict:
     from .laurent import css_conv_ebits
 
     m1 = formats.parse_conv_plain(_read(args.file1), tag="conv")
     m2 = formats.parse_conv_plain(_read(args.file2), tag="conv")
     c = css_conv_ebits(m1, m2)
-    return _count(
-        "conv-css", "ebits per frame", c, m1.cols, m1.rows + m2.rows, conjectured=True
-    )
+    return _count("ebits per frame", c, m1.cols, m1.rows + m2.rows, conjectured=True)
 
 
+@_command(
+    "verify",
+    "cross-check formula against procedure",
+    _arg("file", nargs="?", help="qcheck file"),
+    _arg("--random", type=int, metavar="COUNT", help="run a random sweep"),
+    _arg("--max-n", dest="max_n", type=int, help="largest qubit count"),
+    _arg("--seed", type=int, help="sweep seed (default: ebitcalc.verify.DEFAULT_SEED)"),
+)
 def _cmd_verify(args) -> dict:
     from .verify import DEFAULT_SEED, run_random_sweep, verify_code
 
@@ -282,7 +317,6 @@ def _cmd_verify(args) -> dict:
         ]
         return {
             "json": _core(
-                "verify",
                 cases=sweep.cases,
                 seed=sweep.seed,
                 failures=list(sweep.failures),
@@ -303,7 +337,6 @@ def _cmd_verify(args) -> dict:
     ]
     return {
         "json": _core(
-            "verify",
             n=h.n,
             generators=h.generators,
             ebits=report.formula_value,
@@ -316,22 +349,6 @@ def _cmd_verify(args) -> dict:
         "text": text,
         "quiet": report.formula_value,
     }
-
-
-_HANDLERS = {
-    "ebits": _cmd_ebits,
-    "params": _cmd_params,
-    "sgsop": _cmd_sgsop,
-    "css": _cmd_css,
-    "gf4": _cmd_gf4,
-    "gf4-expand": _cmd_gf4_expand,
-    "qudit": _cmd_qudit,
-    "cv": _cmd_cv,
-    "conv": _cmd_conv,
-    "conv4": _cmd_conv4,
-    "conv-css": _cmd_conv_css,
-    "verify": _cmd_verify,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,79 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
         "ebit/edit/entangled-mode counts from check matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("ebits", parents=[common], help="ebit count of a generator set")
-    p.add_argument("file", help="qcheck file")
-
-    p = sub.add_parser("params", parents=[common], help="[[n, k+c; c]] parameters")
-    p.add_argument("file", help="qcheck file")
-
-    p = sub.add_parser(
-        "sgsop", parents=[common], help="symplectic Gram-Schmidt pairing"
-    )
-    p.add_argument("file", help="qcheck file")
-
-    p = sub.add_parser(
-        "css", parents=[common], help="import two binary parity checks"
-    )
-    p.add_argument("file1", help="gf2 file (bit-flip checks)")
-    p.add_argument("file2", help="gf2 file (phase-flip checks)")
-    p.add_argument("--d1", type=int, help="distance of the first code")
-    p.add_argument("--d2", type=int, help="distance of the second code")
-
-    p = sub.add_parser("gf4", parents=[common], help="import a quaternary parity check")
-    p.add_argument("file", help="gf4 file")
-
-    p = sub.add_parser(
-        "gf4-expand",
-        parents=[common],
-        help="print the binary generator set of a quaternary import",
-    )
-    p.add_argument("file", help="gf4 file")
-
-    p = sub.add_parser("qudit", parents=[common], help="edit count over a prime modulus")
-    p.add_argument("file", help="qcheckd file")
-
-    p = sub.add_parser(
-        "cv", parents=[common], help="entangled-mode count of a real generator set"
-    )
-    p.add_argument("file", help="cvcheck file")
-    p.add_argument(
-        "--tol",
-        type=float,
-        help="relative rank tolerance (default: ebitcalc.cv.DEFAULT_TOLERANCE)",
-    )
-
-    p = sub.add_parser(
-        "conv", parents=[common], help="conjectured per-frame ebits, convolutional"
-    )
-    p.add_argument("file", help="conv file (Z|X pair form)")
-
-    p = sub.add_parser(
-        "conv4",
-        parents=[common],
-        help="conjectured per-frame ebits, quaternary convolutional import",
-    )
-    p.add_argument("file", help="conv4 file (plain matrix form)")
-
-    p = sub.add_parser(
-        "conv-css",
-        parents=[common],
-        help="per-frame ebits for two binary convolutional parity checks",
-    )
-    p.add_argument("file1", help="conv file (plain matrix form)")
-    p.add_argument("file2", help="conv file (plain matrix form)")
-
-    p = sub.add_parser(
-        "verify", parents=[common], help="cross-check formula against procedure"
-    )
-    p.add_argument("file", nargs="?", help="qcheck file")
-    p.add_argument("--random", type=int, metavar="COUNT", help="run a random sweep")
-    p.add_argument("--max-n", dest="max_n", type=int, help="largest qubit count")
-    p.add_argument(
-        "--seed", type=int, help="sweep seed (default: ebitcalc.verify.DEFAULT_SEED)"
-    )
-
+    for name, (help_text, arguments, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for names, options in arguments:
+            p.add_argument(*names, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -432,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        payload = _HANDLERS[args.command](args)
+        payload = args.handler(args)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -450,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         for warning in payload.get("warnings", ()):
             print(f"warning: {warning}", file=sys.stderr)
     if args.json:
-        print(json.dumps(payload["json"], sort_keys=True))
+        print(json.dumps({"command": args.command, **payload["json"]}, sort_keys=True))
     elif args.quiet:
         print(payload["quiet"])
     else:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .errors import DegreeLimitError, ParseError
+from .errors import DegreeLimitError, EbitcalcError, ParseError
 from .gf2 import BinMatrix, bits_to_word
 
 # numpy and the non-binary matrix kinds load inside the parsers that need
@@ -32,6 +32,7 @@ __all__ = [
     "parse_poly",
     "format_gf2",
     "format_qcheck",
+    "qcheck_rows",
 ]
 
 _COEFF_VALUES = {"1": 1, "w": 2, "v": 3}
@@ -95,13 +96,52 @@ def _take_matrix_rows(
     return [(header + 1 + i, "") for i in range(rows)]
 
 
-def _word(chunk: str, width: int, number: int) -> int:
+def _word(chunk: str, width: int, number: int, block: str = "") -> int:
     if len(chunk) != width:
         raise ParseError(f"expected {width} binary digits, got {len(chunk)}", number)
     try:
         return bits_to_word(chunk)
     except ValueError as err:
         raise ParseError(str(err), number) from None
+
+
+def _fields(chunk: str, width: int, number: int, what: str, read, invalid="", sep=None) -> list:
+    """The ``width`` entries of ``chunk`` read by ``read``; an empty chunk has none.
+
+    A ``ValueError`` from ``read`` becomes ``ParseError(invalid)``; the
+    package's own errors (from ``parse_poly``) pass through unchanged.
+    """
+    tokens = chunk.split(sep) if chunk else []
+    if len(tokens) != width:
+        raise ParseError(f"expected {width} {what}, got {len(tokens)}", number)
+    try:
+        return [read(token) for token in tokens]
+    except EbitcalcError:
+        raise
+    except ValueError:
+        raise ParseError(invalid, number) from None
+
+
+def _generator_rows(text: str, tag: str, ints: int, side) -> tuple[list[int], list, list]:
+    """Header fields and the Z and X sides of a ``z | x`` generator format.
+
+    The header ends in ``<generators> <n>``; ``side(chunk, n, number,
+    block)`` reads one stripped side of a row, ``block`` being ``"Z"`` or
+    ``"X"``.
+    """
+    lines = _logical_lines(text)
+    header = _split_header(lines, tag, ints)
+    generators, n = header[-2:]
+    z_rows, x_rows = [], []
+    for number, content in _take_rows(lines, generators, "generator"):
+        if content.count("|") != 1:
+            raise ParseError(
+                "generator row needs exactly one '|' between the Z and X blocks", number
+            )
+        z_part, x_part = content.split("|")
+        z_rows.append(side(z_part.strip(), n, number, "Z"))
+        x_rows.append(side(x_part.strip(), n, number, "X"))
+    return header, z_rows, x_rows
 
 
 def parse_gf2(text: str) -> BinMatrix:
@@ -118,16 +158,7 @@ def parse_qcheck(text: str) -> tuple[BinMatrix, BinMatrix]:
     Returns the raw (Z, X) pair; generator validation is the caller's
     job so a dependent-row policy can apply.
     """
-    lines = _logical_lines(text)
-    generators, n = _split_header(lines, "qcheck", 2)
-    body = _take_rows(lines, generators, "generator")
-    z_words, x_words = [], []
-    for number, content in body:
-        if content.count("|") != 1:
-            raise ParseError("generator row needs exactly one '|'", number)
-        z_part, x_part = (side.strip() for side in content.split("|"))
-        z_words.append(_word(z_part, n, number))
-        x_words.append(_word(x_part, n, number))
+    (generators, n), z_words, x_words = _generator_rows(text, "qcheck", 2, _word)
     return BinMatrix(generators, n, z_words), BinMatrix(generators, n, x_words)
 
 
@@ -148,14 +179,8 @@ def parse_gf4(text: str) -> GF4Matrix:
     return GF4Matrix.from_strings([content for _, content in body], cols)
 
 
-def _residues(chunk: str, width: int, number: int) -> list[int]:
-    fields = chunk.split()
-    if len(fields) != width:
-        raise ParseError(f"expected {width} residues, got {len(fields)}", number)
-    try:
-        return [int(f) for f in fields]
-    except ValueError:
-        raise ParseError("non-integer residue", number) from None
+def _residues(chunk: str, width: int, number: int, block: str) -> list[int]:
+    return _fields(chunk, width, number, "residues", int, "non-integer residue")
 
 
 def parse_qcheckd(text: str) -> tuple[ModMatrix, ModMatrix]:
@@ -164,47 +189,23 @@ def parse_qcheckd(text: str) -> tuple[ModMatrix, ModMatrix]:
 
     from .qudit import ModMatrix
 
-    lines = _logical_lines(text)
-    d, generators, n = _split_header(lines, "qcheckd", 3)
-    body = _take_rows(lines, generators, "generator")
-    z_grid, x_grid = [], []
-    for number, content in body:
-        if content.count("|") != 1:
-            raise ParseError("generator row needs exactly one '|'", number)
-        z_part, x_part = content.split("|")
-        z_grid.append(_residues(z_part, n, number))
-        x_grid.append(_residues(x_part, n, number))
+    (d, _, n), z_grid, x_grid = _generator_rows(text, "qcheckd", 3, _residues)
     if not z_grid:
         empty = np.zeros((0, n), dtype=np.int64)
         return ModMatrix(empty, d), ModMatrix(empty, d)
     return ModMatrix(z_grid, d), ModMatrix(x_grid, d)
 
 
+def _reals(chunk: str, width: int, number: int, block: str) -> list[float]:
+    where = f"in the {block} block"
+    return _fields(chunk, width, number, f"reals {where}", float, f"invalid real {where}")
+
+
 def parse_cvcheck(text: str) -> tuple[np.ndarray, np.ndarray]:
     """Real generator set: ``cvcheck <generators> <n>``, rows ``reals | reals``."""
     import numpy as np
 
-    lines = _logical_lines(text)
-    generators, n = _split_header(lines, "cvcheck", 2)
-    body = _take_rows(lines, generators, "generator")
-    z_grid, x_grid = [], []
-    for number, content in body:
-        if content.count("|") != 1:
-            raise ParseError("generator row needs exactly one '|'", number)
-        z_part, x_part = content.split("|")
-        row = []
-        for chunk, side in ((z_part, "Z"), (x_part, "X")):
-            fields = chunk.split()
-            if len(fields) != n:
-                raise ParseError(
-                    f"expected {n} reals in the {side} block, got {len(fields)}", number
-                )
-            try:
-                row.append([float(f) for f in fields])
-            except ValueError:
-                raise ParseError(f"invalid real in the {side} block", number) from None
-        z_grid.append(row[0])
-        x_grid.append(row[1])
+    (generators, n), z_grid, x_grid = _generator_rows(text, "cvcheck", 2, _reals)
     shape = (generators, n)
     z = np.array(z_grid, dtype=np.float64).reshape(shape)
     x = np.array(x_grid, dtype=np.float64).reshape(shape)
@@ -266,11 +267,13 @@ def parse_poly(token: str, gf4: bool = False, line: int | None = None) -> Lauren
     return LaurentPoly(terms)
 
 
-def _poly_row(chunk: str, width: int, gf4: bool, number: int) -> list[LaurentPoly]:
-    tokens = chunk.split(",")
-    if len(tokens) != width:
-        raise ParseError(f"expected {width} polynomial entries, got {len(tokens)}", number)
-    return [parse_poly(tok, gf4=gf4, line=number) for tok in tokens]
+def _polys(
+    chunk: str, width: int, number: int, block: str = "", gf4: bool = False
+) -> list[LaurentPoly]:
+    def read(token: str) -> LaurentPoly:
+        return parse_poly(token, gf4=gf4, line=number)
+
+    return _fields(chunk, width, number, "polynomial entries", read, sep=",")
 
 
 def parse_conv_pair(text: str) -> LaurentCheckMatrix:
@@ -281,18 +284,7 @@ def parse_conv_pair(text: str) -> LaurentCheckMatrix:
     """
     from .laurent import LaurentCheckMatrix, LaurentMatrix
 
-    lines = _logical_lines(text)
-    generators, n = _split_header(lines, "conv", 2)
-    body = _take_rows(lines, generators, "generator")
-    z_rows, x_rows = [], []
-    for number, content in body:
-        if content.count("|") != 1:
-            raise ParseError(
-                "generator row needs one '|' between the Z and X blocks", number
-            )
-        z_part, x_part = content.split("|")
-        z_rows.append(_poly_row(z_part, n, False, number))
-        x_rows.append(_poly_row(x_part, n, False, number))
+    (_, n), z_rows, x_rows = _generator_rows(text, "conv", 2, _polys)
     return LaurentCheckMatrix(
         LaurentMatrix(z_rows, cols=n),
         LaurentMatrix(x_rows, cols=n),
@@ -319,7 +311,7 @@ def parse_conv_plain(text: str, tag: str = "conv") -> LaurentMatrix:
                 " quantum Z|X pair",
                 number,
             )
-        grid.append(_poly_row(content, cols, gf4, number))
+        grid.append(_polys(content, cols, number, gf4=gf4))
     return LaurentMatrix(grid, cols=cols)
 
 
@@ -331,8 +323,11 @@ def format_gf2(m: BinMatrix) -> str:
     return "\n".join([f"gf2 {m.rows} {m.cols}", *m.to_strings()]) + "\n"
 
 
+def qcheck_rows(hz: BinMatrix, hx: BinMatrix) -> list[str]:
+    """The ``z|x`` body rows of a generator set, as ``qcheck`` files hold them."""
+    return [f"{z}|{x}" for z, x in zip(hz.to_strings(), hx.to_strings())]
+
+
 def format_qcheck(hz: BinMatrix, hx: BinMatrix) -> str:
-    header = f"qcheck {hz.rows} {hz.cols}"
-    rows = [f"{z}|{x}" for z, x in zip(hz.to_strings(), hx.to_strings())]
-    return "\n".join([header, *rows]) + "\n"
+    return "\n".join([f"qcheck {hz.rows} {hz.cols}", *qcheck_rows(hz, hx)]) + "\n"
 

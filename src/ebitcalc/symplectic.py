@@ -261,14 +261,23 @@ def standard_form_matrix(generators: int, ebits: int) -> BinMatrix:
 class CodeParameters:
     """Resource summary [[n, logical(, distance); ebits]] of a generator set.
 
+    ``generators`` independent generators on ``n`` qubits that consume
+    ``ebits`` ebits encode ``n - generators + ebits`` logical qubits.
     ``distance`` is pass-through metadata, never computed here.
     """
 
     n: int
-    logical: int
+    generators: int
     ebits: int
-    ancillas: int
     distance: int | None = None
+
+    @property
+    def logical(self) -> int:
+        return self.n - self.generators + self.ebits
+
+    @property
+    def ancillas(self) -> int:
+        return self.generators - 2 * self.ebits
 
     def bracket(self) -> str:
         if self.distance is None:
@@ -278,11 +287,4 @@ class CodeParameters:
 
 def code_parameters(h: QuantumCheckMatrix, distance: int | None = None) -> CodeParameters:
     """Qubit/ebit/ancilla bookkeeping for a generator set."""
-    c = ebit_count(h)
-    return CodeParameters(
-        n=h.n,
-        logical=h.n - h.generators + c,
-        ebits=c,
-        ancillas=h.generators - 2 * c,
-        distance=distance,
-    )
+    return CodeParameters(h.n, h.generators, ebit_count(h), distance)

@@ -3,12 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebitcalc import (
     BinMatrix,
     DependentRowsError,
     GF4Matrix,
     ShapeError,
+    code_parameters,
     css_construct,
     css_ebits,
     css_parameters,
@@ -104,6 +107,18 @@ def test_css_formula_matches_construction(seed):
     h2 = random_full_rank_matrix(rng, rng.randint(1, n), n)
     assert css_ebits(h1, h2) == ebit_count(css_construct(h1, h2))
     assert css_ebits(h1, h2) == css_ebits(h2, h1)
+
+
+@settings(derandomize=True, max_examples=100)
+@given(st.randoms(use_true_random=False), st.integers(1, 8), st.data())
+def test_import_parameters_equal_those_of_the_imported_set(rng, n, data):
+    # the [[n, k; c]] of each import is that of the generator set it builds
+    rows = st.integers(0, min(6, n))
+    h1 = random_full_rank_matrix(rng, data.draw(rows), n)
+    h2 = random_full_rank_matrix(rng, data.draw(rows), n)
+    assert css_parameters(h1, h2) == code_parameters(css_construct(h1, h2))
+    h = random_gf4_matrix(rng, data.draw(rows), n, full_row_rank=True)
+    assert gf4_parameters(h) == code_parameters(gf4_to_binary(h))
 
 
 @pytest.mark.parametrize("seed", range(10))

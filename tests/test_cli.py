@@ -357,6 +357,14 @@ def test_negative_header_dimension_is_parse_error(capsys, tmp_path):
         (("verify", "--random", "2", "--max-n", "0"), "must be positive"),
         (("cv", str(DATA / "pair.cvcheck"), "--tol", "nan"), "--tol must be a nonnegative"),
         (("cv", str(DATA / "pair.cvcheck"), "--tol", "-1"), "--tol must be a nonnegative"),
+        (
+            ("css", *[str(DATA / "hamming74.gf2")] * 2, "--d1", "-3", "--d2", "3"),
+            "--d1 and --d2 must be positive",
+        ),
+        (
+            ("css", *[str(DATA / "hamming74.gf2")] * 2, "--d1", "3", "--d2", "0"),
+            "--d1 and --d2 must be positive",
+        ),
     ],
 )
 def test_bad_option_values_are_usage_errors(capsys, argv, message):
@@ -365,6 +373,25 @@ def test_bad_option_values_are_usage_errors(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "command, header, code, out",
+    [
+        ("ebits", "qcheck 1 0", EXIT_DOMAIN, ""),  # a zero row counts as dependent
+        ("qudit", "qcheckd 3 1 0", EXIT_OK, "edits: 0\n"),
+        ("cv", "cvcheck 1 0", EXIT_OK, "entangled modes: 0\n"),
+        ("conv", "conv 1 0", EXIT_OK, "ebits per frame: 0 (conjectured)\n"),
+    ],
+    ids=["qcheck", "qcheckd", "cvcheck", "conv"],
+)
+def test_zero_qubit_generator_row_has_empty_sides(
+    capsys, tmp_path, command, header, code, out
+):
+    # every pair format reads a blank side of "|" as zero entries
+    path = tmp_path / "zero.txt"
+    path.write_text(f"{header}\n|\n")
+    assert run(capsys, command, str(path))[:2] == (code, out)
 
 
 def test_option_defaults_come_from_the_library(capsys):

@@ -106,9 +106,21 @@ def test_negative_header_dimension_rejected(parse, text):
         parse(text)
 
 
-def test_qcheck_requires_separator():
-    with pytest.raises(ParseError, match="exactly one '\\|'"):
-        parse_qcheck("qcheck 1 2\n1001\n")
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_qcheck, "qcheck 1 2\n1001\n"),
+        (parse_qcheckd, "qcheckd 3 1 1\n1 | 0 | 1\n"),
+        (parse_cvcheck, "cvcheck 1 1\n1.0 0.0\n"),
+        (parse_conv_pair, "conv 1 1\n1 | D | 0\n"),
+    ],
+    ids=["qcheck", "qcheckd", "cvcheck", "conv"],
+)
+def test_generator_row_requires_one_separator(parse, text):
+    # all four pair formats split rows in one place and share its message
+    message = "line 2: generator row needs exactly one '\\|' between the Z and X blocks$"
+    with pytest.raises(ParseError, match=message):
+        parse(text)
 
 
 def test_gf4_parse():
