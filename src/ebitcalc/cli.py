@@ -71,7 +71,12 @@ def _command(name: str, help: str, *arguments: tuple):
     return register
 
 
-_QCHECK_FILE = _arg("file", help="qcheck file")
+_REDUCE = _arg(
+    "--reduce",
+    action="store_true",
+    help="drop dependent generator rows instead of failing",
+)
+_QCHECK_ARGS = (_arg("file", help="qcheck file"), _REDUCE)
 
 
 def _read(path: str) -> str:
@@ -119,7 +124,7 @@ def _parameters(p: CodeParameters, quiet: int | str) -> dict:
     }
 
 
-@_command("ebits", "ebit count of a generator set", _QCHECK_FILE)
+@_command("ebits", "ebit count of a generator set", *_QCHECK_ARGS)
 def _cmd_ebits(args) -> dict:
     from .symplectic import ebit_count
 
@@ -127,7 +132,7 @@ def _cmd_ebits(args) -> dict:
     return _count("ebits", ebit_count(h), h.n, h.generators)
 
 
-@_command("params", "[[n, k+c; c]] parameters", _QCHECK_FILE)
+@_command("params", "[[n, k+c; c]] parameters", *_QCHECK_ARGS)
 def _cmd_params(args) -> dict:
     from .symplectic import code_parameters
 
@@ -135,7 +140,7 @@ def _cmd_params(args) -> dict:
     return _parameters(p, p.bracket())
 
 
-@_command("sgsop", "symplectic Gram-Schmidt pairing", _QCHECK_FILE)
+@_command("sgsop", "symplectic Gram-Schmidt pairing", *_QCHECK_ARGS)
 def _cmd_sgsop(args) -> dict:
     from .symplectic import symplectic_gram_schmidt
 
@@ -201,6 +206,7 @@ def _cmd_gf4(args) -> dict:
     "gf4-expand",
     "print the binary generator set of a quaternary import",
     _arg("file", help="gf4 file"),
+    _REDUCE,
 )
 def _cmd_gf4_expand(args) -> dict:
     from .classical import gf4_to_binary
@@ -295,6 +301,7 @@ def _cmd_conv_css(args) -> dict:
     _arg("--random", type=int, metavar="COUNT", help="run a random sweep"),
     _arg("--max-n", dest="max_n", type=int, help="largest qubit count"),
     _arg("--seed", type=int, help="sweep seed (default: ebitcalc.verify.DEFAULT_SEED)"),
+    _REDUCE,
 )
 def _cmd_verify(args) -> dict:
     from .verify import DEFAULT_SEED, run_random_sweep, verify_code
@@ -304,6 +311,8 @@ def _cmd_verify(args) -> dict:
     if args.random is not None:
         if args.max_n is None:
             raise _UsageError("--random needs --max-n")
+        if args.reduce:
+            raise _UsageError("--reduce applies to a file, not to --random")
         if args.random < 1 or args.max_n < 1:
             raise _UsageError("--random and --max-n must be positive")
         seed = DEFAULT_SEED if args.seed is None else args.seed
@@ -325,6 +334,8 @@ def _cmd_verify(args) -> dict:
             "text": text,
             "quiet": len(sweep.failures),
         }
+    if args.max_n is not None or args.seed is not None:
+        raise _UsageError("--max-n and --seed apply to --random, not to a file")
     h = _load_check_matrix(args.file, args.reduce)
     report = verify_code(h)
     oracle = "skipped" if report.oracle_value is None else report.oracle_value
@@ -355,11 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON object")
     common.add_argument(
-        "--reduce",
-        action="store_true",
-        help="drop dependent generator rows instead of failing",
-    )
-    common.add_argument(
         "--quiet", action="store_true", help="print only the primary result"
     )
 
@@ -385,10 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as err:
+    except (ParseError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except EbitcalcError as err:

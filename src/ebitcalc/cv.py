@@ -72,26 +72,16 @@ def numerical_rank(a: np.ndarray, relative_tolerance: float) -> int:
     # A power-of-two scale is exact; it keeps the elimination's growth finite.
     work = np.ldexp(work, -np.frexp(reference)[1])
     threshold = relative_tolerance * float(np.abs(work).max())
-    r = 0
-    steps = min(nrows, ncols)
-    for _ in range(steps):
+    for r in range(min(nrows, ncols)):
         sub = np.abs(work[r:, r:])
-        flat = int(sub.argmax())
-        pi, pj = divmod(flat, sub.shape[1])
+        pi, pj = divmod(int(sub.argmax()), sub.shape[1])
         if sub[pi, pj] <= threshold:
-            break
-        pi += r
-        pj += r
-        if pi != r:
-            work[[r, pi]] = work[[pi, r]]
-        if pj != r:
-            work[:, [r, pj]] = work[:, [pj, r]]
-        pivot = work[r, r]
-        for i in range(r + 1, nrows):
-            if work[i, r] != 0.0:
-                work[i, r:] -= (work[i, r] / pivot) * work[r, r:]
-        r += 1
-    return r
+            return r
+        work[[r, r + pi]] = work[[r + pi, r]]
+        work[:, [r, r + pj]] = work[:, [r + pj, r]]
+        below = work[r + 1 :, r:]
+        below -= np.outer(below[:, 0] / work[r, r], work[r, r:])
+    return min(nrows, ncols)
 
 
 def cv_ebit_count(h: RealCheckMatrix) -> int:

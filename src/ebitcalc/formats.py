@@ -84,7 +84,7 @@ def _take_rows(lines: list[tuple[int, str]], count: int, what: str) -> list[tupl
 def _take_matrix_rows(
     text: str, lines: list[tuple[int, str]], rows: int, cols: int
 ) -> list[tuple[int, str]]:
-    """Body rows of a ``gf2`` or ``gf4`` matrix."""
+    """Body rows of a ``gf2``, ``gf4`` or plain ``conv``/``conv4`` matrix."""
     # A 0-column row is a blank line, which _logical_lines drops; count raw
     # lines instead, so the file still holds one line per row.
     if cols or len(lines) > 1:
@@ -302,7 +302,7 @@ def parse_conv_plain(text: str, tag: str = "conv") -> LaurentMatrix:
     gf4 = tag == "conv4"
     lines = _logical_lines(text)
     rows, cols = _split_header(lines, tag, 2)
-    body = _take_rows(lines, rows, "matrix")
+    body = _take_matrix_rows(text, lines, rows, cols)
     grid = []
     for number, content in body:
         if "|" in content:

@@ -119,30 +119,25 @@ class ModMatrix:
 
 
 def mod_rank(m: ModMatrix) -> int:
-    """Rank over the field Z_d via elimination with modular inverses."""
+    """Rank over the field Z_d by forward elimination with modular inverses."""
     d = m.modulus
     work = _exact(m.to_array(), d)
     nrows, ncols = work.shape
-    pivot_row = 0
+    rank = 0
     for col in range(ncols):
-        hit = None
-        for r in range(pivot_row, nrows):
-            if work[r, col]:
-                hit = r
-                break
-        if hit is None:
-            continue
-        if hit != pivot_row:
-            work[[pivot_row, hit]] = work[[hit, pivot_row]]
-        inv = pow(int(work[pivot_row, col]), -1, d)
-        work[pivot_row] = (work[pivot_row] * inv) % d
-        for r in range(nrows):
-            if r != pivot_row and work[r, col]:
-                work[r] = (work[r] - work[r, col] * work[pivot_row]) % d
-        pivot_row += 1
-        if pivot_row == nrows:
+        if rank == nrows:
             break
-    return pivot_row
+        hits = np.flatnonzero(work[rank:, col])
+        if not hits.size:
+            continue
+        hit = rank + hits[0]
+        work[[rank, hit]] = work[[hit, rank]]
+        pivot_row = work[rank, col:] * pow(int(work[rank, col]), -1, d) % d
+        below = work[rank + 1 :, col:]
+        below -= np.outer(below[:, 0], pivot_row)
+        below %= d
+        rank += 1
+    return rank
 
 
 def qudit_ebits(hz: ModMatrix, hx: ModMatrix) -> int:
@@ -156,9 +151,9 @@ def qudit_ebits(hz: ModMatrix, hx: ModMatrix) -> int:
     if (hz.rows, hz.cols) != (hx.rows, hx.cols):
         raise ShapeError("Z and X parts must have identical shape")
     d = hz.modulus
-    a = _exact(hz.to_array(), d, max(hz.cols, 1))
-    b = _exact(hx.to_array(), d, max(hx.cols, 1))
-    omega = (b @ a.T - a @ b.T) % d
+    terms = max(hz.cols, 1)
+    half = _exact(hx.to_array(), d, terms) @ _exact(hz.to_array(), d, terms).T
+    omega = (half - half.T) % d
     if np.any((omega + omega.T) % d):
         raise InternalInvariantError("qudit product matrix is not antisymmetric")
     r = mod_rank(ModMatrix(omega, d))

@@ -15,12 +15,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import InternalInvariantError, SizeLimitError
 from .gf2 import BinMatrix, rank
 from .gf4 import GF4Matrix, _MUL, gf4_rank
-from .laurent import LaurentMatrix
 from .symplectic import (
     QuantumCheckMatrix,
     ebit_count,
@@ -28,6 +27,9 @@ from .symplectic import (
     symplectic_gram_schmidt,
     symplectic_product_matrix,
 )
+
+if TYPE_CHECKING:
+    from .laurent import LaurentMatrix
 
 __all__ = [
     "DEFAULT_SEED",

@@ -394,6 +394,62 @@ def test_zero_qubit_generator_row_has_empty_sides(
     assert run(capsys, command, str(path))[:2] == (code, out)
 
 
+@pytest.mark.parametrize(
+    "command, header", [("conv-css", "conv 1 0"), ("conv4", "conv4 1 0")]
+)
+def test_zero_column_plain_conv_matrix_has_one_blank_row(
+    capsys, tmp_path, command, header
+):
+    # as in gf2 and gf4 files, a 0-column matrix row is a blank line
+    path = tmp_path / "zero.txt"
+    path.write_text(f"{header}\n\n")
+    paths = [str(path)] * (2 if command == "conv-css" else 1)
+    assert run(capsys, command, *paths)[:2] == (
+        EXIT_OK,
+        "ebits per frame: 0 (conjectured)\n",
+    )
+    path.write_text(f"{header}\n")
+    code, out, err = run(capsys, command, *paths)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "expected 1 matrix rows, found 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("css", *[str(DATA / "hamming74.gf2")] * 2, "--reduce"), "unrecognized"),
+        (("gf4", str(DATA / "example.gf4"), "--reduce"), "unrecognized"),
+        (("qudit", str(DATA / "pair3.qcheckd"), "--reduce"), "unrecognized"),
+        (("cv", str(DATA / "pair.cvcheck"), "--reduce"), "unrecognized"),
+        (("conv", str(DATA / "conv5x5.conv"), "--reduce"), "unrecognized"),
+        (("conv4", str(DATA / "hd.conv4"), "--reduce"), "unrecognized"),
+        (
+            ("conv-css", str(DATA / "h1mat.conv"), str(DATA / "h2mat.conv"), "--reduce"),
+            "unrecognized",
+        ),
+        (("verify", "--random", "2", "--max-n", "3", "--reduce"), "--reduce"),
+        (("verify", str(DATA / "fivequbit.qcheck"), "--max-n", "3"), "--max-n"),
+        (("verify", str(DATA / "fivequbit.qcheck"), "--seed", "3"), "--seed"),
+    ],
+    ids=lambda v: " ".join(Path(a).name for a in v) if isinstance(v, tuple) else None,
+)
+def test_flags_a_command_ignores_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ")
+    assert message in err
+
+
+def test_reduce_is_taken_where_it_acts(capsys):
+    for argv in (
+        ("params", str(DATA / "dependent.qcheck")),
+        ("sgsop", str(DATA / "dependent.qcheck")),
+        ("verify", str(DATA / "dependent.qcheck")),
+        ("gf4-expand", str(DATA / "example.gf4")),
+    ):
+        assert run_json(capsys, *argv, "--reduce")["command"] == argv[0]
+
+
 def test_option_defaults_come_from_the_library(capsys):
     from ebitcalc.cv import DEFAULT_TOLERANCE
     from ebitcalc.verify import DEFAULT_SEED
@@ -425,6 +481,25 @@ def test_binary_commands_do_not_import_numpy():
         "from ebitcalc.cli import main\n"
         f"codes = [main([*argv, '--json']) for argv in {commands!r}]\n"
         "print(codes, 'numpy' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-1] == f"{[0] * len(commands)} False"
+
+
+def test_verify_does_not_import_laurent():
+    # The evaluation oracle only annotates its Laurent argument, so verify
+    # never loads the delay-polynomial module.
+    commands = [
+        ["verify", str(DATA / "fivequbit.qcheck")],
+        ["verify", "--random", "3", "--max-n", "4"],
+    ]
+    script = (
+        "import sys\n"
+        "from ebitcalc.cli import main\n"
+        f"codes = [main([*argv, '--json']) for argv in {commands!r}]\n"
+        "print(codes, 'ebitcalc.laurent' in sys.modules)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ebitcalc import (
     NonFiniteEntryError,
@@ -88,3 +90,23 @@ def test_integer_inputs_match_exact_elimination(seed):
 def test_empty_generator_set():
     h = RealCheckMatrix(np.zeros((0, 3)), np.zeros((0, 3)))
     assert cv_ebit_count(h) == 0
+
+
+@st.composite
+def _integer_products(draw):
+    """A @ B for integer A (m x r) and B (r x n): rank at most r, any of m, r, n 0."""
+    m, r, n = (draw(st.integers(0, k)) for k in (6, 3, 6))
+    entries = st.integers(-3, 3)
+    a = draw(st.lists(entries, min_size=m * r, max_size=m * r))
+    b = draw(st.lists(entries, min_size=r * n, max_size=r * n))
+    return np.array(a, dtype=np.int64).reshape(m, r) @ np.array(b, dtype=np.int64).reshape(r, n)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(_integer_products())
+@example(np.zeros((0, 4), dtype=np.int64))
+@example(np.zeros((4, 0), dtype=np.int64))
+@example(np.ones((3, 5), dtype=np.int64))
+def test_numerical_rank_equals_rational_rank_property(product):
+    exact = rational_rank(product.tolist())
+    assert numerical_rank(product.astype(np.float64), 1e-10) == exact

@@ -234,3 +234,26 @@ def test_row_scaling_leaves_count_unchanged(d, seed):
         return ModMatrix(grid, d)
 
     assert qudit_ebits(scaled(hz), scaled(hx)) == qudit_ebits(hz, hx)
+
+
+@st.composite
+def _residue_grids(draw):
+    """(rows, n, d): any residue grid, 0 rows or 0 columns included."""
+    d = draw(st.sampled_from([2, 3, 5, 7, 2**61 - 1]))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.sampled_from([0, 1, d - 1]) | st.integers(0, d - 1)
+    row = st.lists(entry, min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=m, max_size=m)), n, d
+
+
+# 2**61 - 1 puts the elimination on Python ints (object dtype).
+@settings(derandomize=True, max_examples=200)
+@given(_residue_grids())
+@example(([], 0, 3))
+@example(([], 4, 2**61 - 1))
+@example(([[], [], []], 0, 5))
+@example(([[2**61 - 2, 1], [1, 2**61 - 2]], 2, 2**61 - 1))
+def test_mod_rank_equals_python_rank_property(grid):
+    rows, n, d = grid
+    m = ModMatrix(np.array(rows, dtype=np.int64).reshape(len(rows), n), d)
+    assert mod_rank(m) == _python_rank(rows, d)
