@@ -19,6 +19,7 @@ _EXPORTS = {
         "EbitcalcError",
         "InternalInvariantError",
         "NonFiniteEntryError",
+        "OddRankError",
         "ParseError",
         "ShapeError",
         "SizeLimitError",

@@ -12,14 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import formats
 from .errors import EbitcalcError, ParseError
 
 # Each handler imports the modules it runs, so a binary command never
-# loads numpy or the other input kinds.
+# loads numpy or the other input kinds.  Type checkers read a
+# module-level TYPE_CHECKING as true.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Callable
 
@@ -81,7 +81,8 @@ _QCHECK_ARGS = (_arg("file", help="qcheck file"), _REDUCE)
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="ascii")
+        with open(path, encoding="ascii") as f:
+            return f.read()
     except UnicodeDecodeError as err:
         line = err.object.count(b"\n", 0, err.start) + 1
         raise ParseError(
@@ -245,8 +246,8 @@ def _cmd_cv(args) -> dict:
     from .cv import DEFAULT_TOLERANCE, RealCheckMatrix, cv_ebit_count
 
     tol = DEFAULT_TOLERANCE if args.tol is None else args.tol
-    if not tol >= 0:
-        raise _UsageError(f"--tol must be a nonnegative number, got {tol}")
+    if not 0 <= tol < 1:
+        raise _UsageError(f"--tol must be a nonnegative number below 1, got {tol}")
     z, x = formats.parse_cvcheck(_read(args.file))
     h = RealCheckMatrix(z, x, tolerance=tol)
     c = cv_ebit_count(h)

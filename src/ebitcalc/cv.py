@@ -7,7 +7,7 @@ numerical rank counts the entangled modes the set consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -18,33 +18,31 @@ __all__ = ["RealCheckMatrix", "cv_ebit_count", "numerical_rank"]
 DEFAULT_TOLERANCE = 1e-10
 
 
-@dataclass(frozen=True)
-class RealCheckMatrix:
+class RealCheckMatrix(namedtuple("RealCheckMatrix", "hz hx tolerance")):
     """Real-valued (Z part, X part) pair with a rank-decision tolerance.
 
-    ``tolerance`` is relative to the largest absolute entry of the
-    product matrix; near-threshold inputs are the caller's call to make.
+    ``tolerance``, in [0, 1), is relative to the largest absolute entry of
+    the product matrix (at 1 or more every rank would read 0);
+    near-threshold inputs are the caller's call to make.
     """
 
-    hz: np.ndarray
-    hx: np.ndarray
-    tolerance: float = DEFAULT_TOLERANCE
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        hz = np.array(self.hz, dtype=np.float64)
-        hx = np.array(self.hx, dtype=np.float64)
+    def __new__(cls, hz, hx, tolerance: float = DEFAULT_TOLERANCE):
+        hz = np.array(hz, dtype=np.float64)
+        hx = np.array(hx, dtype=np.float64)
         if hz.ndim != 2 or hx.ndim != 2:
             raise ShapeError("Z and X parts must be 2-D")
         if hz.shape != hx.shape:
             raise ShapeError("Z and X parts must have identical shape")
         if not (np.isfinite(hz).all() and np.isfinite(hx).all()):
             raise NonFiniteEntryError("check matrix entries must be finite")
-        if not (self.tolerance >= 0):
-            raise ValueError("tolerance must be nonnegative")
+        if not 0 <= tolerance < 1:
+            raise ValueError(f"tolerance must be a nonnegative number below 1, got {tolerance}")
         hz.setflags(write=False)
         hx.setflags(write=False)
-        object.__setattr__(self, "hz", hz)
-        object.__setattr__(self, "hx", hx)
+        return super().__new__(cls, hz, hx, tolerance)
 
     @property
     def n(self) -> int:

@@ -33,6 +33,11 @@ class NonFiniteEntryError(EbitcalcError, ValueError):
     """A real matrix contains NaN or infinite entries."""
 
 
+class OddRankError(EbitcalcError, ValueError):
+    """A shifted product matrix has odd rank, so the conjectured per-frame
+    ebit count, half that rank, is not a whole number."""
+
+
 class SizeLimitError(EbitcalcError, ValueError):
     """Input too large for a brute-force oracle."""
 

@@ -7,13 +7,13 @@ comment and blank lines are ignored, so fixtures stay hand-editable.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .errors import DegreeLimitError, EbitcalcError, ParseError
 from .gf2 import BinMatrix, bits_to_word
 
 # numpy and the non-binary matrix kinds load inside the parsers that need
-# them, so the binary commands never import numpy.
+# them, so the binary commands never import numpy.  Type checkers read a
+# module-level TYPE_CHECKING as true.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 

@@ -8,8 +8,8 @@ to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import ShapeError
 
@@ -190,8 +190,7 @@ class BinMatrix:
         return "\n".join(self.to_strings())
 
 
-@dataclass(frozen=True)
-class RowReduction:
+class RowReduction(namedtuple("RowReduction", "reduced transform pivots rank")):
     """Result of full row reduction.
 
     ``transform`` is square and invertible over GF(2) with
@@ -199,10 +198,7 @@ class RowReduction:
     reduced row-echelon form and ``rank == len(pivots)``.
     """
 
-    reduced: BinMatrix
-    transform: BinMatrix
-    pivots: tuple[int, ...]
-    rank: int
+    __slots__ = ()
 
 
 def row_reduce(m: BinMatrix) -> RowReduction:

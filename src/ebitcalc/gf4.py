@@ -14,7 +14,7 @@ library (Albrecht, ISSAC 2012).
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import ShapeError
 from .gf2 import BinMatrix, rank

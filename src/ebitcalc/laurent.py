@@ -13,10 +13,10 @@ so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 
-from .errors import DegreeLimitError, InternalInvariantError, ShapeError
+from .errors import DegreeLimitError, InternalInvariantError, OddRankError, ShapeError
 from .gf2 import BinMatrix, word_to_bits
 
 __all__ = [
@@ -278,20 +278,20 @@ class LaurentMatrix:
         return "\n".join(", ".join(str(p) for p in row) for row in self._entries)
 
 
-@dataclass(frozen=True)
-class LaurentCheckMatrix:
+class LaurentCheckMatrix(namedtuple("LaurentCheckMatrix", "hz hx")):
     """Convolutional generator set as a (Z part, X part) pair per frame.
 
     Generators need not commute frame-to-frame; no independence
     condition is imposed.
     """
 
-    hz: LaurentMatrix
-    hx: LaurentMatrix
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        if (self.hz.rows, self.hz.cols) != (self.hx.rows, self.hx.cols):
+    def __new__(cls, hz: LaurentMatrix, hx: LaurentMatrix):
+        if (hz.rows, hz.cols) != (hx.rows, hx.cols):
             raise ShapeError("Z and X parts must have identical shape")
+        return super().__new__(cls, hz, hx)
 
     @property
     def n(self) -> int:
@@ -449,12 +449,17 @@ def laurent_rank(m: LaurentMatrix) -> int:
 def conv_ebits(h: LaurentCheckMatrix) -> int:
     """Conjectured ebits per frame for a convolutional generator set.
 
-    Half the rational-function rank of the shifted product matrix; an
-    odd rank raises rather than truncating.
+    Half the rational-function rank of the shifted product matrix.  Unlike
+    the block product matrix, that matrix may have nonzero diagonal
+    entries (the row ``1 | D`` gives D + D^-1), so its rank may be odd;
+    an odd rank raises :class:`OddRankError` rather than truncating.
     """
     r = laurent_rank(shifted_symplectic_matrix(h))
     if r % 2:
-        raise InternalInvariantError(f"shifted product matrix has odd rank {r}")
+        raise OddRankError(
+            f"shifted product matrix has odd rank {r}, so the conjectured "
+            f"count rank/2 is not a whole number of ebits per frame"
+        )
     return r // 2
 
 

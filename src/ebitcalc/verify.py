@@ -12,10 +12,9 @@ bulk with a fixed default seed so failures reproduce.
 from __future__ import annotations
 
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import InternalInvariantError, SizeLimitError
 from .gf2 import BinMatrix, rank
@@ -28,6 +27,7 @@ from .symplectic import (
     symplectic_product_matrix,
 )
 
+TYPE_CHECKING = False  # type checkers read it as true
 if TYPE_CHECKING:
     from .laurent import LaurentMatrix
 
@@ -275,16 +275,18 @@ def laurent_rank_by_evaluation(
 # formula vs procedure cross-check
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """One generator set checked by every applicable route."""
+class VerificationReport(
+    namedtuple(
+        "VerificationReport",
+        "subject formula_value procedure_value oracle_value agreement details",
+    )
+):
+    """One generator set checked by every applicable route.
 
-    subject: str
-    formula_value: int
-    procedure_value: int
-    oracle_value: int | None
-    agreement: bool
-    details: str
+    ``oracle_value`` is None when span enumeration was skipped.
+    """
+
+    __slots__ = ()
 
 
 def verify_code(h: QuantumCheckMatrix) -> VerificationReport:
@@ -337,13 +339,10 @@ def verify_code(h: QuantumCheckMatrix) -> VerificationReport:
     )
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(namedtuple("SweepResult", "seed cases failures")):
     """Aggregate of a seeded randomized verification sweep."""
 
-    seed: int
-    cases: int
-    failures: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def agreement(self) -> bool:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -180,6 +181,17 @@ def test_conv_command_prints_conjectured_count(capsys):
     obj = run_json(capsys, "conv", str(DATA / "conv5x5.conv"))
     assert obj["conjectured"] is True
     assert obj["ebits"] == 2
+
+
+def test_conv_odd_shifted_rank_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "odd.conv"
+    path.write_text("conv 1 1\n1 | D\n")
+    code, out, err = run(capsys, "conv", str(path))
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == (
+        "error: shifted product matrix has odd rank 1, so the conjectured "
+        "count rank/2 is not a whole number of ebits per frame\n"
+    )
 
 
 def test_conv4_command(capsys):
@@ -365,6 +377,8 @@ def test_negative_header_dimension_is_parse_error(capsys, tmp_path):
             ("css", *[str(DATA / "hamming74.gf2")] * 2, "--d1", "3", "--d2", "0"),
             "--d1 and --d2 must be positive",
         ),
+        (("cv", str(DATA / "pair.cvcheck"), "--tol", "1"), "--tol must be a nonnegative"),
+        (("cv", str(DATA / "pair.cvcheck"), "--tol", "inf"), "--tol must be a nonnegative"),
     ],
 )
 def test_bad_option_values_are_usage_errors(capsys, argv, message):
@@ -462,7 +476,9 @@ def test_option_defaults_come_from_the_library(capsys):
 
 def test_binary_commands_do_not_import_numpy():
     # Only qudit and cv need numpy; verify enumerates sets of up to 20
-    # generators, and skips larger ones, without it.
+    # generators, and skips larger ones, without it.  No command needs
+    # dataclasses, typing or pathlib either.  Without -S, site start-up may
+    # import typing and pathlib itself, so those two are checked under -S.
     commands = [
         [cmd, str(DATA / "fivequbit.qcheck")]
         for cmd in ("ebits", "params", "sgsop", "verify")
@@ -480,12 +496,23 @@ def test_binary_commands_do_not_import_numpy():
         "import sys\n"
         "from ebitcalc.cli import main\n"
         f"codes = [main([*argv, '--json']) for argv in {commands!r}]\n"
-        "print(codes, 'numpy' in sys.modules)\n"
+        "print(codes, [m for m in sys.argv[1:] if m in sys.modules])\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        [sys.executable, "-c", script, "numpy", "dataclasses"],
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    assert result.stdout.splitlines()[-1] == f"{[0] * len(commands)} False"
+    assert result.stdout.splitlines()[-1] == f"{[0] * len(commands)} []"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script, "numpy", "dataclasses", "typing", "pathlib"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+    )
+    assert result.stdout.splitlines()[-1] == f"{[0] * len(commands)} []"
 
 
 def test_verify_does_not_import_laurent():

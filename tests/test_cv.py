@@ -45,6 +45,18 @@ def test_shape_mismatch_rejected():
         RealCheckMatrix(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("tolerance", [-1e-3, 1.0, 5.0, np.inf, np.nan])
+def test_tolerance_outside_unit_interval_rejected(tolerance):
+    # at 1 or more no pivot clears the threshold, so every rank would be 0
+    with pytest.raises(ValueError, match="nonnegative number below 1"):
+        RealCheckMatrix([[1.0]], [[0.0]], tolerance)
+
+
+def test_tolerance_just_below_one_still_counts():
+    h = RealCheckMatrix([[1.0], [0.0]], [[0.0], [1.0]], tolerance=0.999)
+    assert cv_ebit_count(h) == 1
+
+
 def test_tolerance_is_relative_to_largest_entry():
     # second pair's product entries are eps^2 = 1e-14: invisible at the
     # default relative tolerance, visible at a much tighter one

@@ -16,6 +16,7 @@ from ebitcalc import (
     LaurentCheckMatrix,
     LaurentMatrix,
     LaurentPoly,
+    OddRankError,
     ShapeError,
     conv_ebits,
     css_conv_ebits,
@@ -182,6 +183,20 @@ def test_conv_ebits_constant_pair():
         BinMatrix.from_strings(["1", "0"]), BinMatrix.from_strings(["0", "1"])
     )
     assert conv_ebits(h) == 1
+
+
+def test_conv_ebits_odd_shifted_rank_is_a_domain_error():
+    # The row 1 | D has the diagonal product D + D^-1, so the shifted
+    # product matrix has rank 1: a fact about the input, not a broken
+    # invariant, and no whole number of ebits per frame.
+    h = LaurentCheckMatrix(
+        LaurentMatrix([[LaurentPoly.from_exponents([0])]]),
+        LaurentMatrix([[LaurentPoly.from_exponents([1])]]),
+    )
+    assert laurent_rank(shifted_symplectic_matrix(h)) == 1
+    with pytest.raises(OddRankError, match="odd rank 1") as caught:
+        conv_ebits(h)
+    assert not isinstance(caught.value, InternalInvariantError)
 
 
 # -- quaternary and two-code convolutional variants --------------------------
