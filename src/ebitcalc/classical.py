@@ -81,16 +81,14 @@ def gf4_symplectic_rows(h: GF4Matrix) -> tuple[BinMatrix, BinMatrix]:
     return h.hi.vstack(lo_plus_hi), h.lo.vstack(h.hi)
 
 
-def gf4_to_binary(h: GF4Matrix, drop_dependent: bool = False) -> QuantumCheckMatrix:
+def gf4_to_binary(h: GF4Matrix) -> QuantumCheckMatrix:
     """Generator set imported from a quaternary parity check.
 
     The 2r binary rows are independent exactly when the r quaternary
-    rows are; a dependent input raises unless ``drop_dependent`` is set.
+    rows are; a dependent input raises.  To drop dependent rows instead,
+    pass :func:`gf4_symplectic_rows` to ``QuantumCheckMatrix.reduced``.
     """
-    hz, hx = gf4_symplectic_rows(h)
-    if drop_dependent:
-        return QuantumCheckMatrix.reduced(hz, hx)
-    return QuantumCheckMatrix(hz, hx)
+    return QuantumCheckMatrix(*gf4_symplectic_rows(h))
 
 
 def gf4_ebits(h: GF4Matrix) -> int:

@@ -23,6 +23,7 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Callable
 
+    from .gf2 import BinMatrix
     from .symplectic import CodeParameters, QuantumCheckMatrix
 
 EXIT_OK = 0
@@ -90,13 +91,12 @@ def _read(path: str) -> str:
         ) from None
 
 
-def _load_check_matrix(path: str, reduce_rows: bool) -> QuantumCheckMatrix:
+def _generator_set(rows: tuple[BinMatrix, BinMatrix], reduce_rows: bool) -> QuantumCheckMatrix:
+    """The (Z, X) rows as a generator set; ``--reduce`` drops dependent rows
+    where the checked constructor would raise."""
     from .symplectic import QuantumCheckMatrix
 
-    hz, hx = formats.parse_qcheck(_read(path))
-    if reduce_rows:
-        return QuantumCheckMatrix.reduced(hz, hx)
-    return QuantumCheckMatrix(hz, hx)
+    return QuantumCheckMatrix.reduced(*rows) if reduce_rows else QuantumCheckMatrix(*rows)
 
 
 def _count(label: str, c: int, n: int, generators: int, **extra) -> dict:
@@ -129,7 +129,7 @@ def _parameters(p: CodeParameters, quiet: int | str) -> dict:
 def _cmd_ebits(args) -> dict:
     from .symplectic import ebit_count
 
-    h = _load_check_matrix(args.file, args.reduce)
+    h = _generator_set(formats.parse_qcheck(_read(args.file)), args.reduce)
     return _count("ebits", ebit_count(h), h.n, h.generators)
 
 
@@ -137,7 +137,8 @@ def _cmd_ebits(args) -> dict:
 def _cmd_params(args) -> dict:
     from .symplectic import code_parameters
 
-    p = code_parameters(_load_check_matrix(args.file, args.reduce))
+    h = _generator_set(formats.parse_qcheck(_read(args.file)), args.reduce)
+    p = code_parameters(h)
     return _parameters(p, p.bracket())
 
 
@@ -145,7 +146,7 @@ def _cmd_params(args) -> dict:
 def _cmd_sgsop(args) -> dict:
     from .symplectic import symplectic_gram_schmidt
 
-    h = _load_check_matrix(args.file, args.reduce)
+    h = _generator_set(formats.parse_qcheck(_read(args.file)), args.reduce)
     result = symplectic_gram_schmidt(h)
     transform_rows = result.transform.to_strings()
     transformed_rows = formats.qcheck_rows(result.transformed.hz, result.transformed.hx)
@@ -210,10 +211,10 @@ def _cmd_gf4(args) -> dict:
     _REDUCE,
 )
 def _cmd_gf4_expand(args) -> dict:
-    from .classical import gf4_to_binary
+    from .classical import gf4_symplectic_rows
 
-    h = formats.parse_gf4(_read(args.file))
-    q = gf4_to_binary(h, drop_dependent=args.reduce)
+    rows = gf4_symplectic_rows(formats.parse_gf4(_read(args.file)))
+    q = _generator_set(rows, args.reduce)
     rendered = formats.format_qcheck(q.hz, q.hx).rstrip("\n")
     lines = rendered.split("\n")
     return {
@@ -337,7 +338,7 @@ def _cmd_verify(args) -> dict:
         }
     if args.max_n is not None or args.seed is not None:
         raise _UsageError("--max-n and --seed apply to --random, not to a file")
-    h = _load_check_matrix(args.file, args.reduce)
+    h = _generator_set(formats.parse_qcheck(_read(args.file)), args.reduce)
     report = verify_code(h)
     oracle = "skipped" if report.oracle_value is None else report.oracle_value
     text = [

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InternalInvariantError, NonFiniteEntryError, ShapeError
 
-__all__ = ["RealCheckMatrix", "cv_ebit_count", "numerical_rank"]
+__all__ = ["DEFAULT_TOLERANCE", "RealCheckMatrix", "cv_ebit_count", "numerical_rank"]
 
 DEFAULT_TOLERANCE = 1e-10
 
@@ -23,7 +23,9 @@ class RealCheckMatrix(namedtuple("RealCheckMatrix", "hz hx tolerance")):
 
     ``tolerance``, in [0, 1), is relative to the largest absolute entry of
     the product matrix (at 1 or more every rank would read 0);
-    near-threshold inputs are the caller's call to make.
+    near-threshold inputs are the caller's call to make.  Two records are
+    equal when their parts have the same shape and entries and their
+    tolerances are equal; the arrays make a record unhashable.
     """
 
     __slots__ = ()
@@ -38,11 +40,23 @@ class RealCheckMatrix(namedtuple("RealCheckMatrix", "hz hx tolerance")):
             raise ShapeError("Z and X parts must have identical shape")
         if not (np.isfinite(hz).all() and np.isfinite(hx).all()):
             raise NonFiniteEntryError("check matrix entries must be finite")
-        if not 0 <= tolerance < 1:
-            raise ValueError(f"tolerance must be a nonnegative number below 1, got {tolerance}")
+        _check_tolerance(tolerance)
         hz.setflags(write=False)
         hx.setflags(write=False)
         return super().__new__(cls, hz, hx, tolerance)
+
+    # The tuple versions compare the arrays elementwise, whose truth value
+    # is ambiguous beyond 1x1.
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, RealCheckMatrix)
+            and self.tolerance == other.tolerance
+            and np.array_equal(self.hz, other.hz)
+            and np.array_equal(self.hx, other.hx)
+        )
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
     @property
     def n(self) -> int:
@@ -53,13 +67,20 @@ class RealCheckMatrix(namedtuple("RealCheckMatrix", "hz hx tolerance")):
         return self.hz.shape[0]
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not 0 <= tolerance < 1:  # also rejects NaN
+        raise ValueError(f"tolerance must be a nonnegative number below 1, got {tolerance}")
+
+
 def numerical_rank(a: np.ndarray, relative_tolerance: float) -> int:
     """Pivot count of elimination with full pivoting on magnitude.
 
     Entries are treated as zero once the largest remaining magnitude
     drops to ``relative_tolerance`` times the largest magnitude of the
-    original matrix.  Deterministic, no LAPACK involved.
+    original matrix; that tolerance must lie in [0, 1).  Deterministic,
+    no LAPACK involved.
     """
+    _check_tolerance(relative_tolerance)
     work = np.array(a, dtype=np.float64)
     nrows, ncols = work.shape
     if nrows == 0 or ncols == 0:

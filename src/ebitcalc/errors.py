@@ -2,6 +2,19 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "EbitcalcError",
+    "ShapeError",
+    "DependentRowsError",
+    "UnsupportedModulusError",
+    "DegreeLimitError",
+    "NonFiniteEntryError",
+    "OddRankError",
+    "SizeLimitError",
+    "ParseError",
+    "InternalInvariantError",
+]
+
 
 class EbitcalcError(Exception):
     """Base class for every error this package raises deliberately."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import ShapeError
+from .errors import InternalInvariantError, ShapeError
 from .gf2 import BinMatrix, rank
 
 __all__ = [
@@ -108,10 +108,6 @@ class GF4Matrix:
         return m
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "GF4Matrix":
-        return cls(rows)
-
-    @classmethod
     def from_strings(cls, lines: Sequence[str], cols: int | None = None) -> "GF4Matrix":
         """Build from strings over the alphabet 0, 1, w, v, one row per string."""
         for line in lines:
@@ -197,4 +193,7 @@ def gf4_rank(m: GF4Matrix) -> int:
     """
     lo, hi = m.lo, m.hi
     # w(a + wb) = b + w(a + b)
-    return rank(lo.hstack(hi).vstack(hi.hstack(lo + hi))) // 2
+    r = rank(lo.hstack(hi).vstack(hi.hstack(lo + hi)))
+    if r % 2:
+        raise InternalInvariantError(f"GF(2) rank {r} of a GF(4) row space is odd")
+    return r // 2

@@ -59,7 +59,9 @@ class LaurentPoly:
     times bit ``j`` of ``hi``.  Bit 0 of ``lo | hi`` is set in every
     nonzero polynomial, so each has one stored form; the zero polynomial
     has ``lo == hi == offset == 0`` and empty support.  Memory grows with
-    the exponent span, so parsers bound exponents before building one.
+    the exponent span, so the constructor rejects an exponent outside
+    [-MAX_EXPONENT, MAX_EXPONENT] before it sets any bit; computed
+    products may exceed that window.
     """
 
     __slots__ = ("lo", "hi", "offset")
@@ -68,6 +70,11 @@ class LaurentPoly:
         """Sum of ``(exponent, coeff)`` terms; repeated exponents add."""
         items = list(terms.items() if isinstance(terms, Mapping) else terms)
         base = min((exponent for exponent, _ in items), default=0)
+        top = max((exponent for exponent, _ in items), default=0)
+        if base < -MAX_EXPONENT or top > MAX_EXPONENT:
+            raise DegreeLimitError(
+                f"exponents {base}..{top} reach outside [-{MAX_EXPONENT}, {MAX_EXPONENT}]"
+            )
         lo = hi = 0
         for exponent, coeff in items:
             if not 0 <= coeff <= 3:
@@ -208,12 +215,7 @@ _ONE = _make(1, 0, 0)
 
 
 class LaurentMatrix:
-    """Immutable rectangular matrix of delay polynomials.
-
-    Every entry's exponents must lie in [-MAX_EXPONENT, MAX_EXPONENT];
-    computed products, whose spans may be wider, are built by
-    :func:`_gram` without that check.
-    """
+    """Immutable rectangular matrix of delay polynomials."""
 
     __slots__ = ("rows", "cols", "_entries")
 
@@ -226,12 +228,6 @@ class LaurentMatrix:
         for i, row in enumerate(grid):
             if len(row) != cols:
                 raise ShapeError(f"row {i} has {len(row)} entries, expected {cols}")
-            for j, p in enumerate(row):
-                if p and (p.offset < -MAX_EXPONENT or p.max_exp() > MAX_EXPONENT):
-                    raise DegreeLimitError(
-                        f"entry ({i},{j}) has exponents outside"
-                        f" [-{MAX_EXPONENT}, {MAX_EXPONENT}]"
-                    )
         self.rows = len(grid)
         self.cols = cols
         self._entries = grid
@@ -344,11 +340,8 @@ def _gram(
                     lo ^= low ^ _clmul(x[1], y[1])
                     hi ^= _clmul(x[0] ^ x[1], y[0] ^ y[1]) ^ low
             row.append(_make(*_stored_form(lo, hi, base)))
-        grid.append(tuple(row))
-    # Products may exceed the input window, so the checked constructor is skipped.
-    m = LaurentMatrix.__new__(LaurentMatrix)
-    m.rows, m.cols, m._entries = len(grid), len(right), tuple(grid)
-    return m
+        grid.append(row)
+    return LaurentMatrix(grid, cols=len(right))
 
 
 def shifted_symplectic_matrix(h: LaurentCheckMatrix) -> LaurentMatrix:

@@ -15,9 +15,10 @@ import random
 from collections import Counter, namedtuple
 from collections.abc import Callable, Sequence
 from fractions import Fraction
+from itertools import compress, islice, tee
 
 from .errors import InternalInvariantError, SizeLimitError
-from .gf2 import BinMatrix, rank
+from .gf2 import BinMatrix, independent_flags, rank
 from .gf4 import GF4Matrix, _MUL, gf4_rank
 from .symplectic import (
     QuantumCheckMatrix,
@@ -384,20 +385,10 @@ def random_full_rank_matrix(rng: random.Random, rows: int, cols: int) -> BinMatr
     """Random binary matrix with independent rows (requires rows <= cols)."""
     if rows > cols:
         raise ValueError("cannot have more independent rows than columns")
-    words: list[int] = []
-    basis: dict[int, int] = {}
-    while len(words) < rows:
-        w = rng.getrandbits(cols)
-        t = w
-        while t:
-            p = t.bit_length() - 1
-            found = basis.get(p)
-            if found is None:
-                basis[p] = t
-                words.append(w)
-                break
-            t ^= found
-    return BinMatrix(rows, cols, words)
+    draws, tested = tee(iter(lambda: rng.getrandbits(cols), None))
+    # compress takes each draw before its flag, and islice stops at the
+    # last kept row, so no draw is made past it.
+    return BinMatrix(rows, cols, islice(compress(draws, independent_flags(tested)), rows))
 
 
 def random_check_matrix(rng: random.Random, n: int, generators: int) -> QuantumCheckMatrix:
@@ -413,8 +404,6 @@ def random_gf4_matrix(
 ) -> GF4Matrix:
     """Uniformly random GF(4) matrix, optionally resampled to full row rank."""
     while True:
-        m = GF4Matrix.from_rows(
-            [[rng.randrange(4) for _ in range(cols)] for _ in range(rows)]
-        )
+        m = GF4Matrix([[rng.randrange(4) for _ in range(cols)] for _ in range(rows)])
         if not full_row_rank or gf4_rank(m) == rows:
             return m

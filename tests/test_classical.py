@@ -10,6 +10,7 @@ from ebitcalc import (
     BinMatrix,
     DependentRowsError,
     GF4Matrix,
+    QuantumCheckMatrix,
     ShapeError,
     code_parameters,
     css_construct,
@@ -150,7 +151,7 @@ def test_gf4_to_binary_dependent_rows():
     m = GF4Matrix.from_strings(["w", "v"])
     with pytest.raises(DependentRowsError):
         gf4_to_binary(m)
-    reduced = gf4_to_binary(m, drop_dependent=True)
+    reduced = QuantumCheckMatrix.reduced(*gf4_symplectic_rows(m))
     assert reduced.generators == 2
 
 

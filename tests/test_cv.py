@@ -50,6 +50,24 @@ def test_tolerance_outside_unit_interval_rejected(tolerance):
     # at 1 or more no pivot clears the threshold, so every rank would be 0
     with pytest.raises(ValueError, match="nonnegative number below 1"):
         RealCheckMatrix([[1.0]], [[0.0]], tolerance)
+    # unchecked, 1.0 reads the identity as rank 0, and a negative tolerance
+    # reads the rank-1 all-ones matrix as rank 2
+    for a in (np.eye(2), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="nonnegative number below 1"):
+            numerical_rank(a, tolerance)
+
+
+def test_equality_compares_shape_entries_and_tolerance():
+    a = RealCheckMatrix([[1, 0]], [[0, 1]])
+    assert a == RealCheckMatrix([[1.0, 0.0]], [[0.0, 1.0]])
+    assert not a != RealCheckMatrix([[1, 0]], [[0, 1]])
+    assert a != RealCheckMatrix([[1, 0]], [[0, 2]])
+    assert a != RealCheckMatrix([[1, 0]], [[0, 1]], tolerance=0.5)
+    assert a != RealCheckMatrix([[1], [0]], [[0], [1]])  # same entries, other shape
+    assert a != RealCheckMatrix(np.zeros((0, 2)), np.zeros((0, 2)))
+    assert a != (a.hz, a.hx, a.tolerance)
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_tolerance_just_below_one_still_counts():

@@ -24,6 +24,15 @@ def test_submodule_exports_resolve():
             assert hasattr(module, name), f"ebitcalc.{info.name}.{name}"
 
 
+def test_package_exports_are_in_submodule_all():
+    # The package table and each submodule's __all__ list the same public
+    # names twice; a name added to one must be added to the other.
+    for module, names in ebitcalc._EXPORTS.items():
+        declared = importlib.import_module(f"ebitcalc.{module}").__all__
+        for name in names:
+            assert name in declared, f"ebitcalc.{module}.{name}"
+
+
 def test_benchmark_tracer_names_resolve():
     # bench/tracing.py wraps package functions and methods by name, so a
     # rename here would break the benchmark's per-layer run.

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ebitcalc import (
     GF4Matrix,
+    InternalInvariantError,
     OMEGA,
     OMEGA_BAR,
     ONE,
@@ -25,6 +26,7 @@ from ebitcalc import (
     rank,
     symplectic_product_table,
 )
+from ebitcalc import gf4
 from ebitcalc.formats import parse_gf4
 from ebitcalc.verify import gf4_rank_by_span_enumeration, random_gf4_matrix
 
@@ -137,7 +139,15 @@ def test_rank_transpose_invariant(seed):
 
 def test_entries_validated():
     with pytest.raises(ValueError):
-        GF4Matrix.from_rows([[0, 4]])
+        GF4Matrix([[0, 4]])
+
+
+def test_rank_rejects_an_odd_binary_rank(monkeypatch):
+    # The rows of M and w*M span a GF(4) space, so their GF(2) rank is
+    # even; halving an odd one would silently truncate.
+    monkeypatch.setattr(gf4, "rank", lambda m: 3)
+    with pytest.raises(InternalInvariantError, match="rank 3"):
+        gf4_rank(GF4Matrix([[1, 2]]))
 
 
 def test_rank_of_empty_rows_costs_nothing_per_column():
