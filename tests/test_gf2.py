@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +35,12 @@ def with_edge_shapes(test):
     for m in EDGE_SHAPES:
         test = example(m)(test)
     return test
+
+
+# Sides on both sides of a product block (8 right-hand rows) and of a
+# 64-bit word, among all sides up to 140.
+KERNEL_SIDES = st.one_of(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 129]), st.integers(0, 140))
+SEEDS = st.integers(0, 2**32 - 1)
 
 # Constant 5x5 matrix reused across modules: ones at (0,1),(1,0),(3,4),(4,3).
 SHIFTED_5X5 = [
@@ -268,3 +275,74 @@ def test_strings_round_trip_property(m):
     assert all(len(line) == m.cols for line in strings)
     assert BinMatrix.from_strings(strings, cols=m.cols) == m
     assert strings == ["".join(map(str, row)) for row in m.to_rows()]
+
+
+def test_entry_and_row_bits_reject_rows_out_of_range():
+    m = BinMatrix.from_rows([[1, 0], [0, 1]])
+    for i in (-1, -2, 2, 10):
+        with pytest.raises(IndexError, match=rf"row {i} out of range"):
+            m.entry(i, 1)
+        with pytest.raises(IndexError, match=rf"row {i} out of range"):
+            m.row_bits(i)
+    with pytest.raises(IndexError, match="column -1 out of range"):
+        m.entry(0, -1)
+    with pytest.raises(IndexError, match="row 0 out of range"):
+        BinMatrix.zeros(0, 3).row_bits(0)
+    assert [m.entry(i, 1) for i in range(2)] == [0, 1]
+
+
+# The references below read entries through to_rows() and build with
+# from_rows(), so neither touches the product or transpose kernel.
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(KERNEL_SIDES, KERNEL_SIDES, SEEDS)
+@example(0, 9, 0)
+@example(9, 0, 0)
+@example(1, 300, 1)
+@example(300, 1, 2)
+@example(129, 65, 3)
+def test_transpose_matches_entry_swap(rows, cols, seed):
+    m = random_bin_matrix(random.Random(seed), rows, cols)
+    entries = m.to_rows()
+    swapped = [[entries[i][j] for i in range(rows)] for j in range(cols)]
+    assert m.transpose() == BinMatrix.from_rows(swapped, cols=rows)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(KERNEL_SIDES, KERNEL_SIDES, KERNEL_SIDES, SEEDS)
+@example(0, 9, 5, 0)
+@example(5, 0, 9, 0)
+@example(5, 9, 0, 0)
+@example(1, 300, 9, 1)
+@example(300, 1, 300, 2)
+@example(9, 300, 1, 3)
+@example(65, 129, 64, 4)
+def test_matmul_matches_entrywise_product(rows, inner, cols, seed):
+    rng = random.Random(seed)
+    a = random_bin_matrix(rng, rows, inner)
+    b = random_bin_matrix(rng, inner, cols)
+    columns = list(zip(*b.to_rows())) if inner else [()] * cols
+    product = [[sum(x & y for x, y in zip(row, col)) & 1 for col in columns] for row in a.to_rows()]
+    assert a @ b == BinMatrix.from_rows(product, cols=cols)
+
+
+def test_product_with_many_short_left_rows_stays_small():
+    # The result alone takes about 13 MB; holding one bytes object per
+    # left row as well peaked at 32.5 MB.
+    rng = random.Random(18)
+    a = random_bin_matrix(rng, 2**18, 4)
+    b = random_bin_matrix(rng, 4, 64)
+    tracemalloc.start()
+    try:
+        product = a @ b
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (product.rows, product.cols) == (2**18, 64)
+    for _ in range(500):
+        i = rng.randrange(2**18)
+        expected = 0
+        for k in range(4):
+            if a.entry(i, k):
+                expected ^= b.row_bits(k)
+        assert product.row_bits(i) == expected
+    assert peak < 20 * 10**6, f"product peaked at {peak / 1e6:.1f} MB"

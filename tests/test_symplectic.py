@@ -25,6 +25,7 @@ from ebitcalc import (
 )
 from ebitcalc.verify import (
     product_matrix_by_popcount,
+    random_bin_matrix,
     random_check_matrix,
     rank_by_span_enumeration,
 )
@@ -368,6 +369,26 @@ def test_sgsop_time_bound_with_commuting_rows_first():
     elapsed = time.perf_counter() - start
     assert result.ebits == 96
     assert elapsed < 0.5, f"sgsop took {elapsed:.2f} s"
+
+
+def test_product_table_time_bound_at_2048():
+    # On this input a loop over each row's set bits took 0.8-1.3 s and
+    # four-Russians tables take 0.3 s.  Best of three, so that one stall
+    # on a shared machine does not decide, and a bound well above the
+    # table runs that the set-bit loop still exceeds.
+    rng = random.Random(2048)
+    hz = random_bin_matrix(rng, 2048, 2048)
+    hx = random_bin_matrix(rng, 2048, 2048)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        table = symplectic_product_table(hz, hx)
+        elapsed.append(time.perf_counter() - start)
+    for _ in range(200):
+        i, j = rng.randrange(2048), rng.randrange(2048)
+        z_i, x_i, z_j, x_j = hz.row_bits(i), hx.row_bits(i), hz.row_bits(j), hx.row_bits(j)
+        assert table.entry(i, j) == ((z_i & x_j).bit_count() + (x_i & z_j).bit_count()) & 1
+    assert min(elapsed) < 0.6, f"product table took {min(elapsed):.2f} s"
 
 
 def test_procedure_builds_its_own_products(monkeypatch):

@@ -269,6 +269,31 @@ def test_enumeration_oracle_builds_its_own_products(monkeypatch):
     assert not report.agreement
 
 
+def test_oracles_use_neither_gf2_kernel(monkeypatch):
+    h = random_check_matrix(random.Random(22), 10, 16)
+    m = random_bin_matrix(random.Random(23), 14, 9)
+    g = random_gf4_matrix(random.Random(24), 7, 9)
+
+    def oracles():
+        return (
+            product_matrix_by_popcount(h),
+            rank_by_span_enumeration(m),
+            gf4_rank_by_span_enumeration(g),
+            symplectic_gram_schmidt(h),
+        )
+
+    before = oracles()
+
+    def refuse(*args):
+        raise AssertionError("an oracle called a production GF(2) kernel")
+
+    monkeypatch.setattr(BinMatrix, "__matmul__", refuse)
+    monkeypatch.setattr(BinMatrix, "transpose", refuse)
+    with pytest.raises(AssertionError, match="production GF"):
+        ebit_count(h)  # the formula goes through both kernels
+    assert oracles() == before
+
+
 @st.composite
 def _generator_sets(draw):
     """Up to 20 random (Z | X) rows on up to 10 qubits, dependent ones dropped."""
