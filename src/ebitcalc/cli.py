@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import formats
-from .errors import EbitcalcError, ParseError
+from .errors import EbitcalcError, InternalInvariantError, ParseError
 
 # Each handler imports the modules it runs, so a binary command never
 # loads numpy or the other input kinds.  Type checkers read a
@@ -111,6 +111,10 @@ def _count(label: str, c: int, n: int, generators: int, **extra) -> dict:
 
 def _parameters(p: CodeParameters, quiet: int | str) -> dict:
     """Payload of a command that prints the full [[n, k; c]] bookkeeping."""
+    # g generators with c ebits hold an isotropic subspace of dimension
+    # g - c <= n, so a negative k = n - g + c means a wrong count.
+    if p.logical < 0:
+        raise InternalInvariantError(f"logical qubit count is negative ({p.logical})")
     fields = {key: getattr(p, key) for key in _CORE_COUNTS}
     text = [f"{key}: {value}" for key, value in fields.items()]
     if p.distance is not None:
@@ -119,9 +123,6 @@ def _parameters(p: CodeParameters, quiet: int | str) -> dict:
         "json": _core(**fields),
         "text": [*text, f"parameters: {p.bracket()}"],
         "quiet": quiet,
-        "warnings": (
-            [f"logical qubit count is negative ({p.logical})"] if p.logical < 0 else []
-        ),
     }
 
 
@@ -400,9 +401,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
 
-    if not args.quiet:
-        for warning in payload.get("warnings", ()):
-            print(f"warning: {warning}", file=sys.stderr)
     if args.json:
         print(json.dumps({"command": args.command, **payload["json"]}, sort_keys=True))
     elif args.quiet:

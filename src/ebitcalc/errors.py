@@ -27,11 +27,9 @@ class ShapeError(EbitcalcError, ValueError):
 class DependentRowsError(EbitcalcError, ValueError):
     """A generator row is a combination of earlier rows."""
 
-    def __init__(self, row_index: int, message: str | None = None):
+    def __init__(self, row_index: int):
         self.row_index = row_index
-        super().__init__(
-            message or f"generator row {row_index} depends on earlier rows"
-        )
+        super().__init__(f"generator row {row_index} depends on earlier rows")
 
 
 class UnsupportedModulusError(EbitcalcError, ValueError):

@@ -177,6 +177,16 @@ class BinMatrix:
             (a | (b << shift) for a, b in zip(self._data, other._data)),
         )
 
+    def hsplit(self, cols: int) -> tuple["BinMatrix", "BinMatrix"]:
+        """The first ``cols`` columns and the rest; undoes :meth:`hstack`."""
+        if not 0 <= cols <= self.cols:
+            raise ShapeError(f"cannot split {self.cols} columns at {cols}")
+        mask = (1 << cols) - 1
+        return (
+            BinMatrix(self.rows, cols, (w & mask for w in self._data)),
+            BinMatrix(self.rows, self.cols - cols, (w >> cols for w in self._data)),
+        )
+
     def vstack(self, other: "BinMatrix") -> "BinMatrix":
         if self.cols != other.cols:
             raise ShapeError("vstack needs matching column counts")

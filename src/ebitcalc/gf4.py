@@ -146,23 +146,15 @@ class GF4Matrix:
     def conj_transpose(self) -> "GF4Matrix":
         return self.conj().transpose()
 
-    def __add__(self, other: "GF4Matrix") -> "GF4Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("cannot add GF(4) matrices of different shapes")
-        return GF4Matrix.from_planes(self.lo + other.lo, self.hi + other.hi)
-
     def __matmul__(self, other: "GF4Matrix") -> "GF4Matrix":
         if self.cols != other.rows:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        # (A0 + wA1)(B0 + wB1) = (A0B0 + A1B1) + w(A0B1 + A1B0 + A1B1) since
-        # w^2 = 1 + w; the w part is (A0 + A1)(B0 + B1) + A0B0, so three
-        # GF(2) products suffice.
-        low = self.lo @ other.lo
-        high = self.hi @ other.hi
-        mixed = (self.lo + self.hi) @ (other.lo + other.hi)
-        return GF4Matrix.from_planes(low + high, mixed + low)
+        # Row i of the product is the sum over k of lo[i,k]*N[k] + hi[i,k]*(w*N[k]),
+        # and the rows of R(N) are the rows N[k], then w*N[k], as lo | hi bits.
+        product = self.lo.hstack(self.hi) @ _regular(other)
+        return GF4Matrix.from_planes(*product.hsplit(other.cols))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GF4Matrix):
@@ -184,16 +176,21 @@ class GF4Matrix:
         )
 
 
+def _regular(m: GF4Matrix) -> BinMatrix:
+    """R(M) = [[lo, hi], [hi, lo + hi]]: the rows of M, then of w*M, as ``lo | hi`` bits."""
+    lo, hi = m.lo, m.hi
+    # w(a + wb) = b + w(a + b)
+    return lo.hstack(hi).vstack(hi.hstack(lo + hi))
+
+
 def gf4_rank(m: GF4Matrix) -> int:
     """Rank over GF(4): half the GF(2) rank of the rows of M and w*M.
 
-    Written as ``lo | hi`` bit pairs, those rows span the row space of M
-    as a GF(2) space, whose dimension is twice the GF(4) rank, so the
-    one GF(2) elimination kernel serves both fields.
+    Those rows span the row space of M as a GF(2) space, whose dimension
+    is twice the GF(4) rank, so the one GF(2) elimination kernel serves
+    both fields.
     """
-    lo, hi = m.lo, m.hi
-    # w(a + wb) = b + w(a + b)
-    r = rank(lo.hstack(hi).vstack(hi.hstack(lo + hi)))
+    r = rank(_regular(m))
     if r % 2:
         raise InternalInvariantError(f"GF(2) rank {r} of a GF(4) row space is odd")
     return r // 2

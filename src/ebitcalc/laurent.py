@@ -124,9 +124,6 @@ class LaurentPoly:
     def max_exp(self) -> int | None:
         return self.offset + (self.lo | self.hi).bit_length() - 1 if self else None
 
-    def is_binary(self) -> bool:
-        return not self.hi
-
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -251,9 +248,6 @@ class LaurentMatrix:
 
     def entry(self, i: int, j: int) -> LaurentPoly:
         return self._entries[i][j]
-
-    def is_binary(self) -> bool:
-        return all(p.is_binary() for row in self._entries for p in row)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentMatrix):

@@ -151,8 +151,7 @@ def qudit_ebits(hz: ModMatrix, hx: ModMatrix) -> int:
     if (hz.rows, hz.cols) != (hx.rows, hx.cols):
         raise ShapeError("Z and X parts must have identical shape")
     d = hz.modulus
-    terms = max(hz.cols, 1)
-    half = _exact(hx.to_array(), d, terms) @ _exact(hz.to_array(), d, terms).T
+    half = _exact(hx.to_array(), d, hz.cols) @ _exact(hz.to_array(), d, hz.cols).T
     omega = (half - half.T) % d
     if np.any((omega + omega.T) % d):
         raise InternalInvariantError("qudit product matrix is not antisymmetric")

@@ -73,11 +73,7 @@ class QuantumCheckMatrix(namedtuple("QuantumCheckMatrix", "hz hx")):
     def from_stacked(cls, m: BinMatrix) -> "QuantumCheckMatrix":
         if m.cols % 2:
             raise ShapeError("stacked form needs an even column count")
-        n = m.cols // 2
-        mask = (1 << n) - 1
-        z_words = [m.row_bits(i) & mask for i in range(m.rows)]
-        x_words = [m.row_bits(i) >> n for i in range(m.rows)]
-        return cls(BinMatrix(m.rows, n, z_words), BinMatrix(m.rows, n, x_words))
+        return cls(*m.hsplit(m.cols // 2))
 
     @classmethod
     def from_pauli_strings(cls, labels: Sequence[str]) -> "QuantumCheckMatrix":
@@ -279,6 +275,6 @@ class CodeParameters(
         return f"[[{self.n}, {self.logical}, {self.distance}; {self.ebits}]]"
 
 
-def code_parameters(h: QuantumCheckMatrix, distance: int | None = None) -> CodeParameters:
+def code_parameters(h: QuantumCheckMatrix) -> CodeParameters:
     """Qubit/ebit/ancilla bookkeeping for a generator set."""
-    return CodeParameters(h.n, h.generators, ebit_count(h), distance)
+    return CodeParameters(h.n, h.generators, ebit_count(h))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ebitcalc import symplectic, verify
 from ebitcalc.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 
 DATA = Path(__file__).parent / "data"
@@ -54,6 +55,15 @@ def test_params_command(capsys):
     assert "ancillas: 4" in out
 
 
+def test_negative_logical_count_is_an_internal_error(capsys, monkeypatch):
+    # g generators with c ebits hold an isotropic subspace of dimension
+    # g - c <= n, so k = n - g + c < 0 can only come from a wrong count.
+    monkeypatch.setattr(symplectic, "ebit_count", lambda h: 0)
+    code, out, err = run(capsys, "params", str(DATA / "singlequbit.qcheck"))
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == "error: logical qubit count is negative (-1)\n"
+
+
 def test_sgsop_command(capsys):
     code, out, _ = run(capsys, "sgsop", str(DATA / "singlequbit.qcheck"))
     assert code == EXIT_OK
@@ -81,6 +91,15 @@ def test_css_command_hamming_import(capsys):
     code, out, _ = run(capsys, "css", f, f, "--d1", "3", "--d2", "3")
     assert code == EXIT_OK
     assert "parameters: [[7, 1, 3; 0]]" in out
+
+
+def test_css_parity_checks_of_different_lengths_are_a_domain_error(capsys, tmp_path):
+    short, long = tmp_path / "short.gf2", tmp_path / "long.gf2"
+    short.write_text("gf2 1 3\n111\n")
+    long.write_text("gf2 1 4\n1111\n")
+    code, out, err = run(capsys, "css", str(short), str(long))
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == "error: parity checks have different lengths: 3 vs 4\n"
 
 
 def test_css_distance_flags_must_pair(capsys):
@@ -146,6 +165,15 @@ def test_qudit_command(capsys):
     obj = run_json(capsys, "qudit", str(DATA / "pair3.qcheckd"))
     assert obj["ebits"] == 1
     assert obj["modulus"] == 3
+
+
+def test_qudit_without_generators_needs_no_edits(capsys, tmp_path):
+    path = tmp_path / "empty.qcheckd"
+    path.write_text("qcheckd 3 0 2\n")
+    code, out, _ = run(capsys, "qudit", str(path))
+    assert (code, out) == (EXIT_OK, "edits: 0\n")
+    obj = run_json(capsys, "qudit", str(path))
+    assert (obj["n"], obj["generators"], obj["ebits"]) == (2, 0, 0)
 
 
 def test_qudit_composite_modulus_is_domain_error(capsys, tmp_path):
@@ -233,6 +261,27 @@ def test_verify_random_sweep(capsys):
     assert "seed: 7" in out
     assert "failures: 0" in out
     assert "agreement: yes" in out
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_verify_random_sweep_reports_a_disagreeing_case(capsys, monkeypatch, flags):
+    honest = verify.verify_code
+    reports = []
+
+    def disagree_first(h):
+        report = honest(h)
+        reports.append(report._replace(agreement=False) if not reports else report)
+        return reports[-1]
+
+    monkeypatch.setattr(verify, "verify_code", disagree_first)
+    code, out, err = run(capsys, "verify", "--random", "3", "--max-n", "2", "--seed", "7", *flags)
+    assert (code, err, len(reports)) == (EXIT_OK, "", 3)
+    case = f"case 0 ({reports[0].subject}): {reports[0].details}"
+    if flags:
+        obj = json.loads(out)
+        assert (obj["failures"], obj["agreement"]) == ([case], False)
+    else:
+        assert out.splitlines() == ["cases: 3", "seed: 7", "failures: 1", case, "agreement: NO"]
 
 
 def test_verify_needs_file_or_random(capsys):
@@ -579,6 +628,19 @@ def test_header_only_input_costs_nothing_per_column(tmp_path, argv):
     warm, code, peak = map(int, result.stdout.splitlines()[-1].split())
     assert (warm, code) == (EXIT_OK, EXIT_OK)
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "kind, body, term",
+    [("conv", "1 | D^65", "D^65"), ("conv4", "w*D^65", "w*D^65"), ("conv-css", "D^65", "D^65")],
+)
+def test_exponent_past_the_window_names_its_line_and_term(capsys, tmp_path, kind, body, term):
+    header = "conv" if kind == "conv-css" else kind
+    path = tmp_path / f"far.{header}"
+    path.write_text(f"{header} 1 1\n{body}\n")
+    code, out, err = run(capsys, kind, *[str(path)] * (2 if kind == "conv-css" else 1))
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == f"error: line 2: term '{term}' has an exponent outside [-64, 64]\n"
 
 
 @pytest.mark.parametrize(

@@ -201,6 +201,31 @@ def test_stacking_shapes():
         a.vstack(BinMatrix.zeros(2, 3))
 
 
+@st.composite
+def _row_matched_pairs(draw):
+    a = draw(bin_matrices())
+    cols = draw(st.integers(0, 9))
+    words = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=a.rows, max_size=a.rows))
+    return a, BinMatrix(a.rows, cols, words)
+
+
+@settings(derandomize=True, max_examples=150)
+@given(_row_matched_pairs())
+@example((BinMatrix.zeros(3, 0), BinMatrix(3, 2, [1, 2, 3])))
+@example((BinMatrix(3, 2, [1, 2, 3]), BinMatrix.zeros(3, 0)))
+@example((BinMatrix.zeros(0, 2), BinMatrix.zeros(0, 3)))
+def test_hsplit_undoes_hstack_property(pair):
+    a, b = pair
+    assert a.hstack(b).hsplit(a.cols) == (a, b)
+
+
+def test_hsplit_rejects_a_split_outside_the_columns():
+    m = BinMatrix.identity(3)
+    for cols in (-1, 4):
+        with pytest.raises(ShapeError, match=f"split 3 columns at {cols}"):
+            m.hsplit(cols)
+
+
 def test_first_dependent_row():
     assert first_dependent_row(BinMatrix.identity(3)) is None
     assert first_dependent_row(BinMatrix.from_rows([[0, 0], [1, 0]])) == 0

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ebitcalc import (
+    BinMatrix,
     GF4Matrix,
     InternalInvariantError,
     OMEGA,
@@ -23,6 +24,7 @@ from ebitcalc import (
     gf4_rank,
     gf4_trace,
     gf4_symplectic_rows,
+    gf4_to_binary,
     rank,
     symplectic_product_table,
 )
@@ -102,6 +104,42 @@ def test_matmul_matches_scalar_loop(seed):
             for k in range(a.cols):
                 acc = gf4_add(acc, gf4_mul(a.entry(i, k), b.entry(k, j)))
             assert product.entry(i, j) == acc
+
+
+def test_matmul_is_one_binary_product(monkeypatch):
+    # (lo | hi) @ R(N) holds the product's planes side by side.
+    shapes = []
+    binary_product = BinMatrix.__matmul__
+
+    def counted(left, right):
+        shapes.append((left.rows, left.cols, right.cols))
+        return binary_product(left, right)
+
+    monkeypatch.setattr(BinMatrix, "__matmul__", counted)
+    a = GF4Matrix.from_strings(["1wv", "v01"])
+    b = GF4Matrix.from_strings(["w1", "0v", "11"])
+    assert a @ b == GF4Matrix.from_strings(["1v", "0w"])
+    assert shapes == [(2, 6, 4)]
+
+
+def test_expansion_and_oracle_use_neither_regular_form_nor_product(monkeypatch):
+    # The expansion certifies the quaternary formula, and the enumeration
+    # oracle certifies gf4_rank, so neither may share the formula's code.
+    m = GF4Matrix.from_strings(["10w1", "01vw", "wv11"])
+    expected = (gf4_symplectic_rows(m), gf4_to_binary(m), gf4_rank_by_span_enumeration(m))
+
+    def refuse(*args):
+        raise AssertionError("the GF(4) product path was called")
+
+    monkeypatch.setattr(gf4, "_regular", refuse)
+    monkeypatch.setattr(GF4Matrix, "__matmul__", refuse)
+    with pytest.raises(AssertionError):
+        gf4_rank(m)
+    assert (
+        gf4_symplectic_rows(m),
+        gf4_to_binary(m),
+        gf4_rank_by_span_enumeration(m),
+    ) == expected
 
 
 def test_matmul_shape_mismatch():
@@ -234,6 +272,27 @@ def test_hermitian_rank_is_half_the_binary_rank_property(h):
     # half the GF(2) rank of the symplectic products of the expansion.
     z, x = gf4_symplectic_rows(h)
     assert 2 * gf4_rank(h @ h.conj_transpose()) == rank(symplectic_product_table(z, x))
+
+
+@settings(derandomize=True, max_examples=150)
+@given(gf4_matrices())
+@with_edge_shapes
+def test_expansion_maps_each_entry_to_its_bit_pair_property(h):
+    # Row block b of the expansion holds s*H for s = w, then v, and an
+    # entry x*w + z*v of it becomes the bit pair (Z, X) = (z, x).
+    bit_pair = {
+        gf4_add(gf4_mul(x, OMEGA), gf4_mul(z, OMEGA_BAR)): (z, x)
+        for x in (0, 1)
+        for z in (0, 1)
+    }
+    hz, hx = gf4_symplectic_rows(h)
+    assert (hz.rows, hz.cols) == (hx.rows, hx.cols) == (2 * h.rows, h.cols)
+    for b, s in enumerate((OMEGA, OMEGA_BAR)):
+        for i in range(h.rows):
+            for j in range(h.cols):
+                row = b * h.rows + i
+                expected = bit_pair[gf4_mul(s, h.entry(i, j))]
+                assert (hz.entry(row, j), hx.entry(row, j)) == expected
 
 
 @settings(derandomize=True, max_examples=150)

@@ -310,7 +310,6 @@ def test_poly_operations_match_dict_reference_property(ta, tb):
     assert (a.min_exp(), a.max_exp()) == (
         (min(ra), max(ra)) if ra else (None, None)
     )
-    assert a.is_binary() == all(c == 1 for c in ra.values())
     assert bool(a) == bool(ra)
     assert (a + b).terms() == _merge([*ra.items(), *rb.items()])
     assert (a * b).terms() == _reference_product(ra, rb)

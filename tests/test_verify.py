@@ -144,12 +144,12 @@ def test_binary_ext_field_gf4_embedding():
     assert field.mul(w, w) == v
     assert field.mul(w, v) == 1
     assert w ^ 1 == v  # v = w + 1
-    # every even degree embeds GF(4); odd degrees cannot
+    # every supported degree is even and embeds GF(4); odd degrees are unsupported
     f8 = BinaryExtField(8)
     _, _, w8, v8 = f8.gf4_embedding()
     assert f8.mul(w8, w8) == v8
-    with pytest.raises(ValueError):
-        BinaryExtField(9).gf4_embedding()
+    with pytest.raises(ValueError, match="unsupported"):
+        BinaryExtField(9)
 
 
 def test_unsupported_field_degree():
@@ -230,6 +230,11 @@ def test_random_generators_validate():
     assert rank_by_span_enumeration(m) == 5
     g = random_gf4_matrix(rng, 3, 5, full_row_rank=True)
     assert gf4_rank(g) == 3
+
+
+def test_random_gf4_matrix_without_rows_keeps_its_width():
+    m = random_gf4_matrix(random.Random(0), 0, 3)
+    assert (m.rows, m.cols) == (0, 3)
 
 
 @pytest.mark.parametrize(
