@@ -46,7 +46,6 @@ _EXPORTS = {
         "code_parameters",
         "ebit_count",
         "sgsop",
-        "standard_form_matrix",
         "symplectic_gram_schmidt",
         "symplectic_product_matrix",
         "symplectic_product_table",

@@ -140,8 +140,8 @@ class LaurentPoly:
         # Both constant terms are nonzero and GF(4) has no zero divisors,
         # so the product is already in stored form.
         offset = self.offset + other.offset
-        # (A0 + wA1)(B0 + wB1) = (A0B0 + A1B1) + w((A0 + A1)(B0 + B1) + A0B0),
-        # three carry-less products as in GF4Matrix.__matmul__.
+        # (A0 + wA1)(B0 + wB1) = (A0B0 + A1B1) + w((A0 + A1)(B0 + B1) + A0B0):
+        # three carry-less products, as w^2 = w + 1.
         low = _clmul(a0, b0)
         high = _clmul(a1, b1)
         mixed = _clmul(a0 ^ a1, b0 ^ b1)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .errors import DependentRowsError, InternalInvariantError, ShapeError
+from .errors import DependentRowsError, InternalInvariantError, ParseError, ShapeError
 from .gf2 import BinMatrix, first_dependent_row, independent_flags, rank
 
 __all__ = [
@@ -26,10 +26,10 @@ __all__ = [
     "symplectic_gram_schmidt",
     "sgsop",
     "code_parameters",
-    "standard_form_matrix",
 ]
 
 _PAULI_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
+_STRIP_PAULI = str.maketrans("", "", "IXZY")  # whatever survives is no Pauli letter
 
 
 class QuantumCheckMatrix(namedtuple("QuantumCheckMatrix", "hz hx")):
@@ -78,16 +78,13 @@ class QuantumCheckMatrix(namedtuple("QuantumCheckMatrix", "hz hx")):
     @classmethod
     def from_pauli_strings(cls, labels: Sequence[str]) -> "QuantumCheckMatrix":
         """Build from strings over I, X, Z, Y (one qubit per character)."""
-        z_rows = []
-        x_rows = []
+        z_rows, x_rows = [], []
         for label in labels:
-            z_bits, x_bits = [], []
-            for ch in label:
-                z, x = _PAULI_BITS[ch]
-                z_bits.append(z)
-                x_bits.append(x)
-            z_rows.append(z_bits)
-            x_rows.append(x_bits)
+            stray = label.translate(_STRIP_PAULI)
+            if stray:
+                raise ParseError(f"invalid Pauli character {stray[0]!r} in label {label!r}")
+            z_rows.append([_PAULI_BITS[ch][0] for ch in label])
+            x_rows.append([_PAULI_BITS[ch][1] for ch in label])
         return cls(BinMatrix.from_rows(z_rows), BinMatrix.from_rows(x_rows))
 
     @classmethod
@@ -235,18 +232,6 @@ def symplectic_gram_schmidt(h: QuantumCheckMatrix) -> SgsopResult:
 
 
 sgsop = symplectic_gram_schmidt
-
-
-def standard_form_matrix(generators: int, ebits: int) -> BinMatrix:
-    """Direct sum of ``ebits`` anticommuting 2x2 blocks padded with zeros."""
-    if 2 * ebits > generators:
-        raise ShapeError("more pairs than generator rows")
-    words = []
-    for p in range(ebits):
-        words.append(1 << (2 * p + 1))
-        words.append(1 << (2 * p))
-    words.extend([0] * (generators - 2 * ebits))
-    return BinMatrix(generators, generators, words)
 
 
 class CodeParameters(

@@ -28,7 +28,6 @@ from ebitcalc import (
     rank,
     rational_rank,
     shifted_symplectic_matrix,
-    standard_form_matrix,
     symplectic_gram_schmidt,
     symplectic_product_matrix,
 )
@@ -83,8 +82,9 @@ def test_criterion_2_formula_equals_procedure():
         result = symplectic_gram_schmidt(h)
         c = ebit_count(h)
         assert result.ebits == c
-        assert symplectic_product_matrix(result.transformed) == standard_form_matrix(
-            h.generators, c
+        m = h.generators
+        assert symplectic_product_matrix(result.transformed) == BinMatrix(
+            m, m, [1 << (i ^ 1) if i < 2 * c else 0 for i in range(m)]
         )
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"took {elapsed:.1f} s"

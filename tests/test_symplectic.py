@@ -11,6 +11,7 @@ from ebitcalc import symplectic
 from ebitcalc import (
     BinMatrix,
     DependentRowsError,
+    ParseError,
     QuantumCheckMatrix,
     ShapeError,
     code_parameters,
@@ -18,7 +19,6 @@ from ebitcalc import (
     rank,
     row_reduce,
     sgsop,
-    standard_form_matrix,
     symplectic_gram_schmidt,
     symplectic_product_matrix,
     symplectic_product_table,
@@ -98,7 +98,7 @@ def test_sgsop_three_row_example_trace():
     assert result.transformed.hz.to_strings() == ["00", "10", "01"]
     assert result.transformed.hx.to_strings() == ["10", "00", "00"]
     assert result.transform.to_strings() == ["100", "010", "011"]
-    assert symplectic_product_matrix(result.transformed) == standard_form_matrix(3, 1)
+    assert symplectic_product_matrix(result.transformed) == BinMatrix(3, 3, [0b10, 0b01, 0])
 
 
 def test_code_parameters_examples():
@@ -143,6 +143,17 @@ def test_construction_rejects_shape_mismatch():
         QuantumCheckMatrix(BinMatrix.zeros(2, 3), BinMatrix.zeros(2, 2))
 
 
+@pytest.mark.parametrize("label, ch", [("XQ", "Q"), ("x", "x")])
+def test_pauli_strings_reject_unknown_characters(label, ch):
+    with pytest.raises(ParseError, match=f"invalid Pauli character '{ch}' in label '{label}'"):
+        QuantumCheckMatrix.from_pauli_strings(["ZI", label])
+
+
+def test_pauli_strings_reject_unequal_lengths():
+    with pytest.raises(ShapeError):
+        QuantumCheckMatrix.from_pauli_strings(["XZ", "Y"])
+
+
 def test_stacked_round_trip():
     h = _three_row_example()
     assert QuantumCheckMatrix.from_stacked(h.stacked()) == h
@@ -169,8 +180,9 @@ def test_procedure_matches_formula(seed):
     assert result.transform @ h.stacked() == result.transformed.stacked()
     assert rank(result.transform) == h.generators
     # exact paired standard form
-    assert symplectic_product_matrix(result.transformed) == standard_form_matrix(
-        h.generators, c
+    m = h.generators
+    assert symplectic_product_matrix(result.transformed) == BinMatrix(
+        m, m, [1 << (i ^ 1) if i < 2 * c else 0 for i in range(m)]
     )
     # conjugation identity for the product matrix
     g = result.transform

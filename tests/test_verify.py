@@ -1,6 +1,7 @@
 """Tests for the brute-force oracles and the cross-check harness."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from ebitcalc import (
     BinMatrix,
     GF4Matrix,
+    InternalInvariantError,
     LaurentMatrix,
     LaurentPoly,
     QuantumCheckMatrix,
@@ -18,7 +20,7 @@ from ebitcalc import (
     rank,
     symplectic_gram_schmidt,
 )
-from ebitcalc import symplectic
+from ebitcalc import gf2, symplectic, verify
 from ebitcalc.verify import (
     DEFAULT_SEED,
     BinaryExtField,
@@ -259,13 +261,9 @@ def test_enumeration_oracle_builds_its_own_products(monkeypatch):
     products = product_matrix_by_popcount(h)
     count = ebit_count(h)
     assert count > 0
-    # A wrong but symmetric product for h alone, so that the pairing
-    # procedure's own checks still see the true products of its output.
-    true_table = symplectic.symplectic_product_table
+    # A wrong but symmetric product
     monkeypatch.setattr(
-        symplectic,
-        "symplectic_product_table",
-        lambda hz, hx: BinMatrix.zeros(20, 20) if hz is h.hz else true_table(hz, hx),
+        symplectic, "symplectic_product_table", lambda hz, hx: BinMatrix.zeros(20, 20)
     )
     assert ebit_count(h) == 0  # the formula reads the patched product
     assert product_matrix_by_popcount(h) == products
@@ -297,6 +295,73 @@ def test_oracles_use_neither_gf2_kernel(monkeypatch):
     with pytest.raises(AssertionError, match="production GF"):
         ebit_count(h)  # the formula goes through both kernels
     assert oracles() == before
+
+
+def _verify_with_pairing(monkeypatch, h, tamper):
+    """verify_code(h) with the pairing procedure's result passed through tamper."""
+    honest = symplectic_gram_schmidt(h)
+    monkeypatch.setattr(verify, "symplectic_gram_schmidt", lambda _: tamper(honest))
+    return verify_code(h)
+
+
+def _permute_rows(m: BinMatrix, order: list[int]) -> BinMatrix:
+    return BinMatrix(m.rows, m.cols, [m.row_bits(i) for i in order])
+
+
+def _flip_transform_bit(result):
+    words = [result.transform.row_bits(i) for i in range(result.transform.rows)]
+    words[1] ^= 1 << 3
+    return result._replace(transform=BinMatrix(len(words), len(words), words))
+
+
+def _swap_rows_0_and_2(result):
+    order = [2, 1, 0, *range(3, result.transform.rows)]
+    hz, hx = result.transformed
+    return result._replace(
+        transform=_permute_rows(result.transform, order),
+        transformed=QuantumCheckMatrix(_permute_rows(hz, order), _permute_rows(hx, order)),
+    )
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_flip_transform_bit, "transform does not reproduce the output rows"),
+        (_swap_rows_0_and_2, "paired standard form"),
+        (lambda r: r._replace(ebits=r.ebits - 1), "paired standard form"),
+        (lambda r: r._replace(ebits=r.ebits + 1), "paired standard form"),
+    ],
+    ids=["flipped-transform-bit", "rows-0-and-2-swapped", "ebits-less-one", "ebits-plus-one"],
+)
+def test_verify_rejects_a_doctored_pairing(monkeypatch, tamper, message):
+    h = random_check_matrix(random.Random(31), 8, 10)
+    assert 2 <= ebit_count(h) <= 4  # two pairs to swap, room for one more
+    assert _verify_with_pairing(monkeypatch, h, lambda r: r) == verify_code(h)
+    with pytest.raises(InternalInvariantError, match=message):
+        _verify_with_pairing(monkeypatch, h, tamper)
+
+
+@pytest.mark.parametrize("n, generators", [(256, 192), (10, 16)])
+def test_verify_code_runs_none_of_the_formula_kernels(monkeypatch, n, generators):
+    h = random_check_matrix(random.Random(generators), n, generators)
+    before = verify_code(h)
+    count = ebit_count(h)
+
+    def refuse(*args):
+        raise AssertionError("verify_code called a kernel of the formula")
+
+    monkeypatch.setattr(BinMatrix, "__matmul__", refuse)
+    monkeypatch.setattr(BinMatrix, "transpose", refuse)
+    kernels = (gf2.rank, symplectic.symplectic_product_table)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ebitcalc":
+            for key, value in list(vars(module).items()):
+                if any(value is kernel for kernel in kernels):
+                    monkeypatch.setattr(module, key, refuse)
+    with pytest.raises(AssertionError, match="kernel of the formula"):
+        ebit_count(h)  # the formula goes through the patched kernels
+    monkeypatch.setattr(verify, "ebit_count", lambda _: count)
+    assert verify_code(h) == before
 
 
 @st.composite
