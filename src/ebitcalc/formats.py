@@ -47,6 +47,12 @@ def _logical_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def _plain_integers(text: str) -> bool:
+    """Whether ``int`` reads each integer in ``text`` as a sign and ASCII
+    digits only: alone it also takes ``1_0`` and non-ASCII digits."""
+    return text.isascii() and "_" not in text
+
+
 def _split_header(lines: list[tuple[int, str]], expected: str, ints: int) -> list[int]:
     if not lines:
         raise ParseError(f"empty file; expected header '{expected}'")
@@ -61,6 +67,8 @@ def _split_header(lines: list[tuple[int, str]], expected: str, ints: int) -> lis
             number,
         )
     try:
+        if not _plain_integers(content):
+            raise ValueError(content)
         values = [int(f) for f in fields[1:]]
     except ValueError:
         raise ParseError(f"non-integer field in '{expected}' header", number) from None
@@ -115,7 +123,7 @@ def _fields(chunk: str, width: int, number: int, what: str, read, invalid="", se
     if len(tokens) != width:
         raise ParseError(f"expected {width} {what}, got {len(tokens)}", number)
     try:
-        return [read(token) for token in tokens]
+        return list(map(read, tokens))
     except EbitcalcError:
         raise
     except ValueError:
@@ -180,20 +188,17 @@ def parse_gf4(text: str) -> GF4Matrix:
 
 
 def _residues(chunk: str, width: int, number: int, block: str) -> list[int]:
+    if not _plain_integers(chunk):
+        raise ParseError("non-integer residue", number)
     return _fields(chunk, width, number, "residues", int, "non-integer residue")
 
 
 def parse_qcheckd(text: str) -> tuple[ModMatrix, ModMatrix]:
     """Qudit generator set: ``qcheckd <d> <generators> <n>``, ``z | x`` rows."""
-    import numpy as np
-
     from .qudit import ModMatrix
 
     (d, _, n), z_grid, x_grid = _generator_rows(text, "qcheckd", 3, _residues)
-    if not z_grid:
-        empty = np.zeros((0, n), dtype=np.int64)
-        return ModMatrix(empty, d), ModMatrix(empty, d)
-    return ModMatrix(z_grid, d), ModMatrix(x_grid, d)
+    return ModMatrix(z_grid, d, n), ModMatrix(x_grid, d, n)
 
 
 def _reals(chunk: str, width: int, number: int, block: str) -> list[float]:

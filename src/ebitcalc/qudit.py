@@ -4,13 +4,27 @@ The qudit analogue replaces the XOR in the pairwise product with
 subtraction mod d, giving an antisymmetric matrix over Z_d whose rank is
 even; half of it is the number of maximally entangled d-level pairs the
 generators consume.
+
+The arithmetic runs on Python ints in the layout of ``BinMatrix``: a row
+(or a packed column) is one int holding one lane per entry, each lane a
+whole number of bytes (1, 2, 4 or 8 where that suffices).  Lanes only
+ever receive non-negative sums, so they never borrow, and each is wide
+enough that it never carries into the next:
+
+- the product HX·HZᵀ adds n products of residues, so its lanes hold at
+  most n·(d−1)²;
+- elimination adds (d − f)·pivot, the pivot row reduced and scaled so
+  its pivot entry is 1, to each row below at most once per pivot, so a
+  lane holds at most (d−1) + min(rows, cols)·(d−1)² before it is read
+  mod d.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections.abc import Sequence
-
-import numpy as np
+from operator import mul
 
 from .errors import InternalInvariantError, ShapeError, UnsupportedModulusError
 
@@ -18,7 +32,7 @@ __all__ = ["ModMatrix", "mod_rank", "qudit_ebits"]
 
 
 # The first 13 primes: as Miller-Rabin bases they admit no strong
-# pseudoprime below 3.3e24 (Sorenson & Webster 2015), far above int64.
+# pseudoprime below 3.3e24 (Sorenson & Webster 2015), far above the cap.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
@@ -49,93 +63,126 @@ def _is_prime(d: int) -> bool:
 _INT64_MAX = (1 << 63) - 1
 
 
-def _exact(arr: np.ndarray, d: int, terms: int = 1) -> np.ndarray:
-    """``arr`` in a dtype whose sums of ``terms`` residue products mod d are exact.
+# Lane widths in bytes that the array module stores natively; packing and
+# unpacking rows of such lanes runs in C.  Wider lanes take a Python loop.
+_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
-    int64 while ``terms * (d - 1)**2`` fits, Python ints beyond that, so a
-    large prime modulus is slower but never wraps around.
-    """
-    if terms * (d - 1) ** 2 <= _INT64_MAX:
-        return arr
-    return arr.astype(object)
+
+def _lane_bytes(bound: int) -> int:
+    """Bytes of a lane that holds every sum up to ``bound``."""
+    width = max(1, (bound.bit_length() + 7) // 8)
+    return next((w for w in sorted(_TYPECODES) if w >= width), width)
+
+
+def _pack(values: Sequence[int], width: int) -> int:
+    """``values`` as one int, value j in the ``width``-byte lane j."""
+    if width not in _TYPECODES:
+        return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in values]), "little")
+    lanes = array(_TYPECODES[width], values)
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return int.from_bytes(lanes.tobytes(), "little")
+
+
+def _unpack(word: int, count: int, width: int) -> list[int]:
+    """The ``count`` lanes of ``width`` bytes that ``word`` holds."""
+    raw = word.to_bytes(count * width, "little")
+    if width not in _TYPECODES:
+        return [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
+    lanes = array(_TYPECODES[width], raw)
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return lanes.tolist()
 
 
 class ModMatrix:
-    """Immutable matrix of residues modulo a prime."""
+    """Immutable matrix of residues modulo a prime.
 
-    __slots__ = ("_entries", "modulus")
+    ``cols`` defaults to the length of the first row; give it for a
+    matrix with no rows.
+    """
 
-    def __init__(self, entries: np.ndarray | Sequence[Sequence[int]], modulus: int):
+    __slots__ = ("_entries", "cols", "modulus")
+
+    def __init__(self, entries: Sequence[Sequence[int]], modulus: int, cols: int | None = None):
         if modulus > _INT64_MAX:
             raise UnsupportedModulusError(
-                f"modulus {modulus} does not fit the int64 residue storage"
+                f"modulus {modulus} is above the cap of 2^63 - 1 (the int64 maximum)"
             )
         if not _is_prime(modulus):
             raise UnsupportedModulusError(
                 f"modulus {modulus} is not prime; rank over Z_d needs a field"
             )
         try:
-            arr = np.array(entries, dtype=np.int64) % modulus
-        except OverflowError:  # an entry beyond int64: reduce it as a Python int
-            arr = (np.array(entries, dtype=object) % modulus).astype(np.int64)
-        if arr.ndim != 2:
-            raise ShapeError("ModMatrix needs a 2-D entry grid")
-        arr.setflags(write=False)
-        self._entries = arr
+            grid = tuple(tuple([int(v) % modulus for v in row]) for row in entries)
+        except TypeError:
+            raise ShapeError("ModMatrix needs a 2-D entry grid") from None
+        if cols is None:
+            cols = len(grid[0]) if grid else 0
+        if any(len(row) != cols for row in grid):
+            raise ShapeError(f"ModMatrix rows need {cols} entries each")
+        self._entries = grid
+        self.cols = cols
         self.modulus = modulus
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], modulus: int) -> "ModMatrix":
-        if rows:
-            return cls(rows, modulus)
-        return cls(np.zeros((0, 0), dtype=np.int64), modulus)
+    def from_rows(
+        cls, rows: Sequence[Sequence[int]], modulus: int, cols: int | None = None
+    ) -> "ModMatrix":
+        return cls(rows, modulus, cols)
 
     @property
     def rows(self) -> int:
-        return self._entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._entries.shape[1]
+        return len(self._entries)
 
     def entry(self, i: int, j: int) -> int:
-        return int(self._entries[i, j])
+        return self._entries[i][j]
 
-    def to_array(self) -> np.ndarray:
-        return self._entries.copy()
+    def to_rows(self) -> list[list[int]]:
+        return [list(row) for row in self._entries]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ModMatrix):
             return NotImplemented
-        return self.modulus == other.modulus and bool(
-            np.array_equal(self._entries, other._entries)
+        return (self.modulus, self.cols, self._entries) == (
+            other.modulus,
+            other.cols,
+            other._entries,
         )
 
     def __hash__(self) -> int:
-        return hash((self.modulus, self._entries.shape, self._entries.tobytes()))
+        return hash((self.modulus, self.cols, self._entries))
 
     def __repr__(self) -> str:
         return f"ModMatrix({self.rows}x{self.cols} mod {self.modulus})"
 
 
 def mod_rank(m: ModMatrix) -> int:
-    """Rank over the field Z_d by forward elimination with modular inverses."""
-    d = m.modulus
-    work = _exact(m.to_array(), d)
-    nrows, ncols = work.shape
+    """Rank over the field Z_d by forward elimination on packed rows."""
+    d, cols = m.modulus, m.cols
+    width = _lane_bytes(d - 1 + min(m.rows, cols) * (d - 1) ** 2)
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    work = [_pack(row, width) for row in m._entries]
     rank = 0
-    for col in range(ncols):
-        if rank == nrows:
+    for col in range(cols):
+        if rank == len(work):
             break
-        hits = np.flatnonzero(work[rank:, col])
-        if not hits.size:
+        shift = bits * col
+        heads = [(word >> shift & mask) % d for word in work[rank:]]
+        hit = next((i for i, f in enumerate(heads) if f), None)
+        if hit is None:
             continue
-        hit = rank + hits[0]
-        work[[rank, hit]] = work[[hit, rank]]
-        pivot_row = work[rank, col:] * pow(int(work[rank, col]), -1, d) % d
-        below = work[rank + 1 :, col:]
-        below -= np.outer(below[:, 0], pivot_row)
-        below %= d
+        work[rank], work[rank + hit] = work[rank + hit], work[rank]
+        heads[0], heads[hit] = heads[hit], heads[0]
+        inverse = pow(heads[0], -1, d)
+        # lanes left of col are 0 mod d, so only the rest are reduced
+        lanes = _unpack(work[rank] >> shift, cols - col, width)
+        pivot = _pack([v * inverse % d for v in lanes], width) << shift
+        for r, f in enumerate(heads[1:], rank + 1):
+            if f:
+                work[r] += (d - f) * pivot
         rank += 1
     return rank
 
@@ -150,12 +197,16 @@ def qudit_ebits(hz: ModMatrix, hx: ModMatrix) -> int:
         raise ShapeError(f"moduli differ: {hz.modulus} vs {hx.modulus}")
     if (hz.rows, hz.cols) != (hx.rows, hx.cols):
         raise ShapeError("Z and X parts must have identical shape")
-    d = hz.modulus
-    half = _exact(hx.to_array(), d, hz.cols) @ _exact(hz.to_array(), d, hz.cols).T
-    omega = (half - half.T) % d
-    if np.any((omega + omega.T) % d):
+    d, m = hz.modulus, hz.rows
+    width = _lane_bytes(hz.cols * (d - 1) ** 2)
+    # lane j of packed column k of HZ is HZ[j, k], so the HX-weighted sum
+    # of the packed columns is one row of HX @ HZ^T
+    z_columns = [_pack(column, width) for column in zip(*hz._entries)]
+    half = [_unpack(sum(map(mul, row, z_columns)), m, width) for row in hx._entries]
+    omega = [[(a - b) % d for a, b in zip(row, column)] for row, column in zip(half, zip(*half))]
+    if any((a + b) % d for row, column in zip(omega, zip(*omega)) for a, b in zip(row, column)):
         raise InternalInvariantError("qudit product matrix is not antisymmetric")
-    r = mod_rank(ModMatrix(omega, d))
+    r = mod_rank(ModMatrix(omega, d, m))
     if r % 2:
         raise InternalInvariantError(f"qudit product matrix has odd rank {r}")
     return r // 2

@@ -16,16 +16,19 @@ from __future__ import annotations
 import random
 from collections import Counter, namedtuple
 from collections.abc import Callable, Sequence
-from fractions import Fraction
 from itertools import compress, islice, tee
 
 from .errors import InternalInvariantError, SizeLimitError
 from .gf2 import BinMatrix, independent_flags
-from .gf4 import GF4Matrix, gf4_mul, gf4_rank
 from .symplectic import QuantumCheckMatrix, ebit_count, symplectic_gram_schmidt
 
+# Only the oracles that tests call load gf4 and fractions (which pulls in
+# decimal and numbers), so a file check never does.
 TYPE_CHECKING = False  # type checkers read it as true
 if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .gf4 import GF4Matrix
     from .laurent import LaurentMatrix
 
 __all__ = [
@@ -104,6 +107,8 @@ def rank_by_span_enumeration(m: BinMatrix) -> int:
 def gf4_rank_by_span_enumeration(m: GF4Matrix) -> int:
     """GF(4) rank by counting which of the 4^rows row combinations vanish:
     exactly 4^(rows - rank) of them do."""
+    from .gf4 import gf4_mul
+
     if m.rows > 10:
         raise SizeLimitError(f"span enumeration limited to 10 rows, got {m.rows}")
     # Rows pack into ints two bits per entry; GF(4) addition is then a
@@ -139,6 +144,7 @@ def _forward_rank(rows: list[list], clear: Callable[[list, list, int], list]) ->
 
 def rational_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     """Exact rank over the rationals by fraction-based elimination."""
+    from fractions import Fraction
 
     def clear(row: list, pivot_row: list, col: int) -> list:
         factor = row[col] / pivot_row[col]
@@ -411,6 +417,8 @@ def random_gf4_matrix(
     rng: random.Random, rows: int, cols: int, full_row_rank: bool = False
 ) -> GF4Matrix:
     """Uniformly random GF(4) matrix, optionally resampled to full row rank."""
+    from .gf4 import GF4Matrix, gf4_rank
+
     while True:
         lines = ["".join("01wv"[rng.randrange(4)] for _ in range(cols)) for _ in range(rows)]
         m = GF4Matrix.from_strings(lines, cols)

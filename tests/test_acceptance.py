@@ -7,6 +7,8 @@ import random
 import time
 from pathlib import Path
 
+import numpy as np
+
 from ebitcalc import (
     BinMatrix,
     LaurentCheckMatrix,
@@ -145,7 +147,8 @@ def test_criterion_6_qudit_reduction():
             hx = ModMatrix.from_rows(
                 [[rng.randrange(d) for _ in range(n)] for _ in range(generators)], d
             )
-            omega = (hx.to_array() @ hz.to_array().T - hz.to_array() @ hx.to_array().T) % d
+            z, x = np.array(hz.to_rows()), np.array(hx.to_rows())
+            omega = (x @ z.T - z @ x.T) % d
             assert not ((omega + omega.T) % d).any()
             r = mod_rank(ModMatrix(omega, d))
             assert r % 2 == 0

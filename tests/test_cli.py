@@ -523,11 +523,14 @@ def test_option_defaults_come_from_the_library(capsys):
     assert obj["seed"] == DEFAULT_SEED
 
 
-def test_binary_commands_do_not_import_numpy():
-    # Only qudit and cv need numpy; verify enumerates sets of up to 20
-    # generators, and skips larger ones, without it.  No command needs
-    # dataclasses, typing or pathlib either.  Without -S, site start-up may
-    # import typing and pathlib itself, so those two are checked under -S.
+def test_binary_commands_do_not_import_numpy(tmp_path):
+    # Only cv needs numpy; qudit counts on Python ints, and verify
+    # enumerates sets of up to 20 generators, and skips larger ones, without
+    # it.  No command needs dataclasses, typing or pathlib either.  Without
+    # -S, site start-up may import typing and pathlib itself, so those two
+    # are checked under -S.
+    empty = tmp_path / "empty.qcheckd"
+    empty.write_text("qcheckd 5 0 3\n")
     commands = [
         [cmd, str(DATA / "fivequbit.qcheck")]
         for cmd in ("ebits", "params", "sgsop", "verify")
@@ -540,6 +543,8 @@ def test_binary_commands_do_not_import_numpy():
         ["conv", str(DATA / "conv5x5.conv")],
         ["conv4", str(DATA / "hd.conv4")],
         ["conv-css", str(DATA / "h1mat.conv"), str(DATA / "h2mat.conv")],
+        ["qudit", str(DATA / "pair3.qcheckd")],
+        ["qudit", str(empty)],
     ]
     script = (
         "import sys\n"
@@ -581,6 +586,24 @@ def test_verify_does_not_import_laurent():
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
     assert result.stdout.splitlines()[-1] == f"{[0] * len(commands)} False"
+
+
+def test_verify_file_check_loads_neither_gf4_nor_fractions():
+    # Only the oracles that tests call use gf4 and fractions (which loads
+    # decimal), so checking a file compiles and imports neither.
+    script = (
+        "import sys\n"
+        "from ebitcalc.cli import main\n"
+        f"code = main(['verify', '--json', {str(DATA / 'fivequbit.qcheck')!r}])\n"
+        "print(code, [m for m in sys.argv[1:] if m in sys.modules])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, "ebitcalc.gf4", "fractions", "decimal"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.splitlines()[-1] == "0 []"
 
 
 HEADER_ONLY_COLUMNS = 10**7

@@ -133,8 +133,28 @@ def test_gf4_parse():
 def test_qcheckd_parse():
     hz, hx = parse_qcheckd((DATA / "pair3.qcheckd").read_text())
     assert hz.modulus == hx.modulus == 3
-    assert hz.to_array().tolist() == [[1, 0], [0, 0]]
-    assert hx.to_array().tolist() == [[0, 0], [1, 0]]
+    assert hz.to_rows() == [[1, 0], [0, 0]]
+    assert hx.to_rows() == [[0, 0], [1, 0]]
+    hz, hx = parse_qcheckd("qcheckd +3 0 4\n")
+    assert (hz.rows, hz.cols) == (hx.rows, hx.cols) == (0, 4)
+    hz, hx = parse_qcheckd("qcheckd 3 1 2\n+1 -2 | 007 -0\n")
+    assert (hz.to_rows(), hx.to_rows()) == ([[1, 1]], [[1, 0]])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("qcheckd 3 1 1\n1_0 | 0\n", "line 2: non-integer residue"),
+        ("qcheckd 3 1 1\n0 | \u0661\n", "line 2: non-integer residue"),  # Arabic-Indic one
+        ("qcheckd 3 1 1\n0 | 0x1\n", "line 2: non-integer residue"),
+        ("qcheckd 1_1 1 1\n1 | 0\n", "line 1: non-integer field"),
+        ("qcheckd 3 1 \uff11\n1 | 0\n", "line 1: non-integer field"),  # fullwidth one
+    ],
+)
+def test_qcheckd_integers_are_a_sign_and_ascii_digits(text, message):
+    # int() alone would read 1_0 as 10 and non-ASCII digits as their values
+    with pytest.raises(ParseError, match=message):
+        parse_qcheckd(text)
 
 
 def test_cvcheck_parse():

@@ -115,8 +115,8 @@ def test_large_modulus_products_do_not_wrap():
     assert qudit_ebits(hz, hx) == 0
 
 
-# 3037000493 is the largest prime with (d-1)^2 in int64, so one column stays
-# int64 and two do not; 2**63 - 25 is the largest prime the storage accepts.
+# 3037000493 is the largest prime with (d-1)^2 in int64, so one product fits
+# int64 and a sum of two does not; 2**63 - 25 is the largest prime under the cap.
 @pytest.mark.parametrize("d", [3037000493, 2**61 - 1, 2**63 - 25])
 @pytest.mark.parametrize("seed", range(6))
 def test_large_modulus_agrees_with_python_ints(d, seed):
@@ -157,6 +157,13 @@ def test_shape_and_modulus_mismatch():
         qudit_ebits(ModMatrix.from_rows([[1]], 3), ModMatrix.from_rows([[1]], 5))
     with pytest.raises(ShapeError):
         qudit_ebits(ModMatrix.from_rows([[1]], 3), ModMatrix.from_rows([[1, 0]], 3))
+    with pytest.raises(ShapeError):
+        qudit_ebits(ModMatrix.from_rows([], 3, 1), ModMatrix.from_rows([], 3, 2))
+    for ragged in ([[1], [1, 0]], [1, 0]):
+        with pytest.raises(ShapeError):
+            ModMatrix(ragged, 3)
+    with pytest.raises(ShapeError):
+        ModMatrix([[1]], 3, 2)
 
 
 def test_entries_reduced_mod_d():
@@ -210,7 +217,8 @@ def test_product_antisymmetric_and_even_rank(d, seed):
     rng = random.Random(100 * d + seed)
     n = rng.randint(1, 6)
     hz, hx = _random_mod_pair(rng, d, rng.randint(1, 2 * n), n)
-    omega = (hx.to_array() @ hz.to_array().T - hz.to_array() @ hx.to_array().T) % d
+    z, x = np.array(hz.to_rows()), np.array(hx.to_rows())
+    omega = (x @ z.T - z @ x.T) % d
     assert not ((omega + omega.T) % d).any()
     assert np.diag(omega).sum() == 0
     r = mod_rank(ModMatrix(omega, d))
@@ -229,31 +237,69 @@ def test_row_scaling_leaves_count_unchanged(d, seed):
     factor = rng.randrange(1, d)
 
     def scaled(m):
-        grid = m.to_array()
-        grid[row] *= factor
+        grid = m.to_rows()
+        grid[row] = [v * factor for v in grid[row]]
         return ModMatrix(grid, d)
 
     assert qudit_ebits(scaled(hz), scaled(hx)) == qudit_ebits(hz, hx)
 
 
+# The lanes of the packed rows are whole bytes; at these primes the lane
+# widths of the product and of elimination cross byte boundaries.
+_LANE_PRIMES = [2, 3, 5, 7, 17, 251, 257, 65521, 2**31 - 1, 2**61 - 1]
+
+
 @st.composite
-def _residue_grids(draw):
-    """(rows, n, d): any residue grid, 0 rows or 0 columns included."""
-    d = draw(st.sampled_from([2, 3, 5, 7, 2**61 - 1]))
-    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+def _residue_grids(draw, blocks=1):
+    """(rows, n, d): any grid of ``blocks * n`` residue columns, 0 rows or 0
+    columns included."""
+    d = draw(st.sampled_from(_LANE_PRIMES))
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
     entry = st.sampled_from([0, 1, d - 1]) | st.integers(0, d - 1)
-    row = st.lists(entry, min_size=n, max_size=n)
+    row = st.lists(entry, min_size=blocks * n, max_size=blocks * n)
     return draw(st.lists(row, min_size=m, max_size=m)), n, d
 
 
-# 2**61 - 1 puts the elimination on Python ints (object dtype).
-@settings(derandomize=True, max_examples=200)
+@settings(derandomize=True, max_examples=300)
 @given(_residue_grids())
 @example(([], 0, 3))
 @example(([], 4, 2**61 - 1))
 @example(([[], [], []], 0, 5))
 @example(([[2**61 - 2, 1], [1, 2**61 - 2]], 2, 2**61 - 1))
+@example(([[256] * 2] * 5, 2, 257))  # more rows than columns
+@example(([[65520] * 5] * 2, 5, 65521))  # more columns than rows
+@example(([[250] * 7] * 7, 7, 251))
 def test_mod_rank_equals_python_rank_property(grid):
     rows, n, d = grid
-    m = ModMatrix(np.array(rows, dtype=np.int64).reshape(len(rows), n), d)
+    m = ModMatrix(rows, d, n)
+    assert (m.rows, m.cols) == (len(rows), n)
     assert mod_rank(m) == _python_rank(rows, d)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(_residue_grids(blocks=2))
+@example(([], 3, 7))
+@example(([[], []], 0, 17))
+@example(([[2**61 - 2] * 6] * 5, 3, 2**61 - 1))
+@example(([[1, 0, 2**31 - 2, 0], [0, 1, 0, 2**31 - 2]], 2, 2**31 - 1))
+def test_qudit_ebits_equals_numpy_reference_property(grid):
+    # numpy builds the reference product matrix on Python ints (object
+    # dtype), so it is exact at every modulus
+    rows, n, d = grid
+    z = np.array([row[:n] for row in rows], dtype=object).reshape(len(rows), n)
+    x = np.array([row[n:] for row in rows], dtype=object).reshape(len(rows), n)
+    omega = (x @ z.T - z @ x.T) % d
+    count = qudit_ebits(ModMatrix(z.tolist(), d, n), ModMatrix(x.tolist(), d, n))
+    assert 2 * count == _python_rank(omega.tolist(), d)
+
+
+def test_benchmark_shape_is_fast():
+    # the shape of the benchmark's qudit calls: 110 generators on 128 qudits
+    hz, hx = _random_mod_pair(random.Random(7), 7, 110, 128)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        count = qudit_ebits(hz, hx)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.05
+    assert count == 55
