@@ -47,10 +47,12 @@ def _logical_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _plain_integers(text: str) -> bool:
-    """Whether ``int`` reads each integer in ``text`` as a sign and ASCII
-    digits only: alone it also takes ``1_0`` and non-ASCII digits."""
-    return text.isascii() and "_" not in text
+def _integer(token: str) -> int:
+    """``token`` as an optional sign and ASCII digits; ``int`` alone also
+    takes ``1_0`` and non-ASCII digits."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return int(token)
 
 
 def _split_header(lines: list[tuple[int, str]], expected: str, ints: int) -> list[int]:
@@ -67,9 +69,7 @@ def _split_header(lines: list[tuple[int, str]], expected: str, ints: int) -> lis
             number,
         )
     try:
-        if not _plain_integers(content):
-            raise ValueError(content)
-        values = [int(f) for f in fields[1:]]
+        values = [_integer(f) for f in fields[1:]]
     except ValueError:
         raise ParseError(f"non-integer field in '{expected}' header", number) from None
     # every header ends in its row and column counts
@@ -123,7 +123,7 @@ def _fields(chunk: str, width: int, number: int, what: str, read, invalid="", se
     if len(tokens) != width:
         raise ParseError(f"expected {width} {what}, got {len(tokens)}", number)
     try:
-        return list(map(read, tokens))
+        return [read(token) for token in tokens]
     except EbitcalcError:
         raise
     except ValueError:
@@ -188,9 +188,7 @@ def parse_gf4(text: str) -> GF4Matrix:
 
 
 def _residues(chunk: str, width: int, number: int, block: str) -> list[int]:
-    if not _plain_integers(chunk):
-        raise ParseError("non-integer residue", number)
-    return _fields(chunk, width, number, "residues", int, "non-integer residue")
+    return _fields(chunk, width, number, "residues", _integer, "non-integer residue")
 
 
 def parse_qcheckd(text: str) -> tuple[ModMatrix, ModMatrix]:

@@ -7,9 +7,9 @@ generators consume.
 
 The arithmetic runs on Python ints in the layout of ``BinMatrix``: a row
 (or a packed column) is one int holding one lane per entry, each lane a
-whole number of bytes (1, 2, 4 or 8 where that suffices).  Lanes only
-ever receive non-negative sums, so they never borrow, and each is wide
-enough that it never carries into the next:
+whole number of bytes.  Lanes only ever receive non-negative sums, so
+they never borrow, and each is wide enough that it never carries into
+the next:
 
 - the product HX·HZᵀ adds n products of residues, so its lanes hold at
   most n·(d−1)²;
@@ -21,8 +21,6 @@ enough that it never carries into the next:
 
 from __future__ import annotations
 
-import sys
-from array import array
 from collections.abc import Sequence
 from operator import mul
 
@@ -63,37 +61,20 @@ def _is_prime(d: int) -> bool:
 _INT64_MAX = (1 << 63) - 1
 
 
-# Lane widths in bytes that the array module stores natively; packing and
-# unpacking rows of such lanes runs in C.  Wider lanes take a Python loop.
-_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
-_BIG_ENDIAN = sys.byteorder == "big"
-
-
 def _lane_bytes(bound: int) -> int:
     """Bytes of a lane that holds every sum up to ``bound``."""
-    width = max(1, (bound.bit_length() + 7) // 8)
-    return next((w for w in sorted(_TYPECODES) if w >= width), width)
+    return max(1, (bound.bit_length() + 7) // 8)
 
 
 def _pack(values: Sequence[int], width: int) -> int:
     """``values`` as one int, value j in the ``width``-byte lane j."""
-    if width not in _TYPECODES:
-        return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in values]), "little")
-    lanes = array(_TYPECODES[width], values)
-    if _BIG_ENDIAN:
-        lanes.byteswap()
-    return int.from_bytes(lanes.tobytes(), "little")
+    return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in values]), "little")
 
 
 def _unpack(word: int, count: int, width: int) -> list[int]:
     """The ``count`` lanes of ``width`` bytes that ``word`` holds."""
     raw = word.to_bytes(count * width, "little")
-    if width not in _TYPECODES:
-        return [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
-    lanes = array(_TYPECODES[width], raw)
-    if _BIG_ENDIAN:
-        lanes.byteswap()
-    return lanes.tolist()
+    return [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
 
 
 class ModMatrix:

@@ -139,12 +139,16 @@ def test_qcheckd_parse():
     assert (hz.rows, hz.cols) == (hx.rows, hx.cols) == (0, 4)
     hz, hx = parse_qcheckd("qcheckd 3 1 2\n+1 -2 | 007 -0\n")
     assert (hz.to_rows(), hx.to_rows()) == ([[1, 1]], [[1, 0]])
+    # non-ASCII whitespace still separates fields and residues
+    hz, hx = parse_qcheckd("qcheckd\u00a03 1 2\n1\u20032 | 0\u00a01\n")
+    assert (hz.to_rows(), hx.to_rows()) == ([[1, 2]], [[0, 1]])
 
 
 @pytest.mark.parametrize(
     "text, message",
     [
         ("qcheckd 3 1 1\n1_0 | 0\n", "line 2: non-integer residue"),
+        ("qcheckd 3 1 1\n1_0 2 | 0\n", "line 2: expected 1 residues, got 2"),
         ("qcheckd 3 1 1\n0 | \u0661\n", "line 2: non-integer residue"),  # Arabic-Indic one
         ("qcheckd 3 1 1\n0 | 0x1\n", "line 2: non-integer residue"),
         ("qcheckd 1_1 1 1\n1 | 0\n", "line 1: non-integer field"),
