@@ -199,9 +199,16 @@ def parse_qcheckd(text: str) -> tuple[ModMatrix, ModMatrix]:
     return ModMatrix(z_grid, d, n), ModMatrix(x_grid, d, n)
 
 
+def _real(token: str) -> float:
+    """``token`` as a float; ``float`` alone also takes ``1_0`` and non-ASCII digits."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return float(token)
+
+
 def _reals(chunk: str, width: int, number: int, block: str) -> list[float]:
     where = f"in the {block} block"
-    return _fields(chunk, width, number, f"reals {where}", float, f"invalid real {where}")
+    return _fields(chunk, width, number, f"reals {where}", _real, f"invalid real {where}")
 
 
 def parse_cvcheck(text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -255,7 +262,7 @@ def parse_poly(token: str, gf4: bool = False, line: int | None = None) -> Lauren
             exponent = 1
         elif body.startswith("D^"):
             try:
-                exponent = int(body[2:])
+                exponent = _integer(body[2:])
             except ValueError:
                 raise ParseError(f"bad exponent in term {part!r}", line) from None
         else:

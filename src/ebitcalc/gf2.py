@@ -8,13 +8,16 @@ to share between threads.
 The product is the Method of Four Russians (Albrecht, Bard & Hart,
 "Algorithm 898", ACM TOMS 37, 2010): each block of 8 right-hand rows
 becomes a table of its 256 sums, and each left row takes one lookup per
-byte.
+byte.  The transpose swaps blocks within square tiles packed side by
+side in one int (Warren, "Hacker's Delight", 2nd ed., section 7-3), so
+each of its log2(side) passes is a few whole-matrix shifts and masks.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import repeat
 
 from .errors import ShapeError
 
@@ -28,6 +31,9 @@ __all__ = [
     "bits_to_word",
     "word_to_bits",
 ]
+
+# Within one byte, the columns c with c mod 2j >= j, for j = 1, 2, 4.
+_SUB_BYTE_MASKS = {1: b"\xaa", 2: b"\xcc", 4: b"\xf0"}
 
 # Deletes the binary digits; whatever survives is not a 0/1 character.
 _STRIP_BINARY_DIGITS = str.maketrans("", "", "01")
@@ -49,6 +55,15 @@ def word_to_bits(word: int, cols: int) -> str:
     """The ``cols`` low bits of ``word`` as '0'/'1' characters, bit ``j`` at index ``j``."""
     # format(0, "00b") is "0", not "", so zero width needs its own case
     return format(word, f"0{cols}b")[::-1] if cols else ""
+
+
+def _swap_mask(j: int, side: int, width: int) -> int:
+    """Bit ``i * width + c`` set where ``i mod 2j < j`` and ``c mod 2j >= j``,
+    for bands ``i < side``; built by repeating bytes, as ``j`` and ``side``
+    are powers of two and ``width`` is a multiple of ``side``."""
+    unit = _SUB_BYTE_MASKS.get(j) or bytes(j // 8) + b"\xff" * (j // 8)
+    band = unit * (width // 8 // len(unit))
+    return int.from_bytes((band * j + bytes(len(band) * j)) * (side // (2 * j)), "little")
 
 
 class BinMatrix:
@@ -134,11 +149,52 @@ class BinMatrix:
     # -- algebra ------------------------------------------------------
 
     def transpose(self) -> "BinMatrix":
-        # zip(*strings) of no rows yields no columns at all
-        if not (self.rows and self.cols):
-            return BinMatrix.zeros(self.cols, self.rows)
-        columns = zip(*self.to_strings())
-        return BinMatrix(self.cols, self.rows, [bits_to_word("".join(c)) for c in columns])
+        # Square tiles of side s lie side by side in s bands of `width` bits
+        # of one int; each pass swaps the off-diagonal j x j blocks of every
+        # 2j x 2j block of every tile at once.
+        rows, cols = self.rows, self.cols
+        if not (rows and cols):  # no bands to swap, however long the other side
+            return BinMatrix.zeros(cols, rows)
+        side = 8
+        while side < min(rows, cols):
+            side *= 2
+        step = side // 8  # bytes per tile row
+        if rows <= cols:
+            # the rows are the bands; tile t holds columns t*s .. t*s + s - 1
+            width = -(-cols // side) * side
+            packed = b"".join(w.to_bytes(width // 8, "little") for w in self._data)
+        else:
+            # band a holds rows a, a + s, a + 2s, ..., one tile each
+            width = -(-rows // side) * side
+            words = self._data + (0,) * (width - rows)
+            packed = bytearray()
+            for a in range(side):
+                tiles = words[a::side]
+                packed += bytes(tiles) if step == 1 else b"".join(
+                    w.to_bytes(step, "little") for w in tiles
+                )
+        x = int.from_bytes(packed, "little")
+        j = side // 2
+        while j:
+            shift = j * width - j  # from (i + j, c - j) to (i, c)
+            t = (x ^ (x >> shift)) & _swap_mask(j, side, width)
+            x ^= t ^ (t << shift)
+            j //= 2
+        band = width // 8
+        data = x.to_bytes(side * band, "little")
+        if rows <= cols:
+            # tile t of band a is row t*s + a of the transpose
+            out = [0] * width
+            for a in range(side):
+                tiles = data[a * band : (a + 1) * band]
+                out[a::side] = tiles if step == 1 else [
+                    int.from_bytes(tiles[o : o + step], "little") for o in range(0, band, step)
+                ]
+            del out[cols:]
+        else:
+            # band a is row a of the transpose
+            out = [int.from_bytes(data[a * band : (a + 1) * band], "little") for a in range(cols)]
+        return BinMatrix(cols, rows, out)
 
     def __add__(self, other: "BinMatrix") -> "BinMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -264,17 +320,19 @@ def row_reduce(m: BinMatrix) -> RowReduction:
 def independent_flags(words: Iterable[int]) -> Iterator[bool]:
     """For each packed row in turn, whether it lies outside the span of the rows before it.
 
-    Keeps an XOR basis keyed by leading bit; a zero row is dependent.
+    Keeps an XOR basis in a list indexed by bit length, so ``basis[k]`` is
+    the basis row with leading bit ``k - 1``, or 0; a zero row is
+    dependent.
     """
-    basis: dict[int, int] = {}
+    basis = [0]
     for w in words:
-        while w:
-            p = w.bit_length() - 1
-            found = basis.get(p)
-            if found is None:
-                basis[p] = w
-                break
+        top = w.bit_length()
+        if top >= len(basis):
+            basis += repeat(0, top + 1 - len(basis))
+        while w and (found := basis[w.bit_length()]):
             w ^= found
+        if w:
+            basis[w.bit_length()] = w
         yield bool(w)
 
 

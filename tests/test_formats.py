@@ -153,12 +153,18 @@ def test_qcheckd_parse():
         ("qcheckd 3 1 1\n0 | 0x1\n", "line 2: non-integer residue"),
         ("qcheckd 1_1 1 1\n1 | 0\n", "line 1: non-integer field"),
         ("qcheckd 3 1 \uff11\n1 | 0\n", "line 1: non-integer field"),  # fullwidth one
+        ("conv 1 1\nD^1_0 | 0\n", "line 2: bad exponent in term 'D\\^1_0'"),
+        ("conv 1 1\n0 | D^\u0661\n", "line 2: bad exponent in term"),
+        ("cvcheck 2 1\n1_0 | 0\n0 | 1\n", "line 2: invalid real in the Z block"),
+        ("cvcheck 1 1\n0 | \u0661\n", "line 2: invalid real in the X block"),
     ],
 )
 def test_qcheckd_integers_are_a_sign_and_ascii_digits(text, message):
-    # int() alone would read 1_0 as 10 and non-ASCII digits as their values
+    # int() and float() alone would read 1_0 as 10 and non-ASCII digits as
+    # their values, also in conv exponents and cvcheck reals
+    parse = {"qcheckd": parse_qcheckd, "conv": parse_conv_pair, "cvcheck": parse_cvcheck}
     with pytest.raises(ParseError, match=message):
-        parse_qcheckd(text)
+        parse[text.split()[0]](text)
 
 
 def test_cvcheck_parse():

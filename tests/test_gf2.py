@@ -1,5 +1,6 @@
 """Tests for the bit-packed GF(2) matrix core."""
 
+import bisect
 import random
 import time
 import tracemalloc
@@ -41,6 +42,16 @@ def with_edge_shapes(test):
 # 64-bit word, among all sides up to 140.
 KERNEL_SIDES = st.one_of(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 129]), st.integers(0, 140))
 SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Random matrices on KERNEL_SIDES: tall, wide, one tile or several."""
+    rows, cols, seed = draw(KERNEL_SIDES), draw(KERNEL_SIDES), draw(SEEDS)
+    return random_bin_matrix(random.Random(seed), rows, cols)
+
+
+SMALL_AND_KERNEL_MATRICES = st.one_of(bin_matrices(), kernel_matrices())
 
 # Constant 5x5 matrix reused across modules: ones at (0,1),(1,0),(3,4),(4,3).
 SHIFTED_5X5 = [
@@ -274,15 +285,15 @@ def test_transpose_of_empty_shapes():
     assert BinMatrix.zeros(0, 0).transpose() == BinMatrix.zeros(0, 0)
 
 
-@settings(derandomize=True, max_examples=150)
-@given(bin_matrices())
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(SMALL_AND_KERNEL_MATRICES)
 @with_edge_shapes
 def test_transpose_involution_property(m):
     assert m.transpose().transpose() == m
 
 
-@settings(derandomize=True, max_examples=150)
-@given(bin_matrices())
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(SMALL_AND_KERNEL_MATRICES)
 @with_edge_shapes
 def test_transpose_swaps_entries(m):
     t = m.transpose()
@@ -348,6 +359,56 @@ def test_matmul_matches_entrywise_product(rows, inner, cols, seed):
     columns = list(zip(*b.to_rows())) if inner else [()] * cols
     product = [[sum(x & y for x, y in zip(row, col)) & 1 for col in columns] for row in a.to_rows()]
     assert a @ b == BinMatrix.from_rows(product, cols=cols)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(KERNEL_SIDES, KERNEL_SIDES, SEEDS)
+@example(0, 9, 0)
+@example(9, 0, 0)
+@example(300, 9, 1)
+@example(9, 300, 2)
+@example(129, 65, 3)
+def test_rank_and_first_dependent_row_match_row_reduce(rows, cols, seed):
+    # Some rows are planted as the sum of a few earlier ones (none: a zero row).
+    rng = random.Random(seed)
+    words = [rng.getrandbits(cols) for _ in range(rows)]
+    for i in range(rows):
+        if rng.random() < 0.1:
+            words[i] = 0
+            for k in rng.sample(range(i), min(i, rng.randrange(4))):
+                words[i] ^= words[k]
+    m = BinMatrix(rows, cols, words)
+    assert rank(m) == row_reduce(m).rank
+
+    def prefix_dependent(k):
+        return row_reduce(BinMatrix(k, cols, words[:k])).rank < k
+
+    # the shortest prefix whose rank stops growing ends in the first dependent row
+    shortest = bisect.bisect_left(range(rows + 1), True, key=prefix_dependent)
+    assert first_dependent_row(m) == (shortest - 1 if shortest <= rows else None)
+
+
+@pytest.mark.parametrize("rows, cols", [(2**20, 1), (1, 2**20)])
+def test_thin_transpose_is_fast_and_small(rows, cols):
+    # Through one '0'/'1' string per row, 2^20 x 1 took 1.0-1.75 s and
+    # peaked at 128 MB; the block-swap transpose takes 0.02-0.13 s here.
+    m = random_bin_matrix(random.Random(rows), rows, cols)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        t = m.transpose()
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.5, f"transpose took {min(elapsed):.2f} s"
+    tracemalloc.start()
+    try:
+        m.transpose()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 10**6, f"transpose peaked at {peak / 1e6:.1f} MB"
+    # one row and one column hold the same bits in the same order
+    assert (t.rows, t.cols) == (cols, rows)
+    assert "".join(t.to_strings()) == "".join(m.to_strings())
 
 
 def test_product_with_many_short_left_rows_stays_small():

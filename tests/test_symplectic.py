@@ -23,6 +23,7 @@ from ebitcalc import (
     symplectic_product_matrix,
     symplectic_product_table,
 )
+from ebitcalc.formats import format_qcheck, parse_qcheck
 from ebitcalc.verify import (
     product_matrix_by_popcount,
     random_bin_matrix,
@@ -401,6 +402,23 @@ def test_product_table_time_bound_at_2048():
         z_i, x_i, z_j, x_j = hz.row_bits(i), hx.row_bits(i), hz.row_bits(j), hx.row_bits(j)
         assert table.entry(i, j) == ((z_i & x_j).bit_count() + (x_i & z_j).bit_count()) & 1
     assert min(elapsed) < 0.6, f"product table took {min(elapsed):.2f} s"
+
+
+def test_ebits_pipeline_time_bound_at_2048():
+    # What `ebits` does in process: parse, the checked constructor (the
+    # independence check) and the count.  Best of three: 0.33 s on a
+    # 2-core x86-64 machine (single runs 0.33-0.50 s), against 0.53 s with
+    # a transpose through per-row strings and a dict-keyed XOR basis; the
+    # bound is about twice the best.
+    h = random_check_matrix(random.Random(2048), 2048, 2048)
+    text = format_qcheck(h.hz, h.hx)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        c = ebit_count(QuantumCheckMatrix(*parse_qcheck(text)))
+        elapsed.append(time.perf_counter() - start)
+    assert c == 1023
+    assert min(elapsed) < 0.7, f"ebits pipeline took {min(elapsed):.2f} s"
 
 
 def test_procedure_builds_its_own_products(monkeypatch):
