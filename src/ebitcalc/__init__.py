@@ -32,12 +32,8 @@ _EXPORTS = {
         "OMEGA_BAR",
         "ONE",
         "ZERO",
-        "gf4_add",
-        "gf4_conj",
-        "gf4_inv",
         "gf4_mul",
         "gf4_rank",
-        "gf4_trace",
     ),
     "symplectic": (
         "CodeParameters",
@@ -79,10 +75,8 @@ _EXPORTS = {
         "VerificationReport",
         "gf4_rank_by_span_enumeration",
         "laurent_rank_by_evaluation",
-        "random_bin_matrix",
         "random_check_matrix",
         "random_full_rank_matrix",
-        "random_gf4_matrix",
         "rank_by_span_enumeration",
         "rational_rank",
         "run_random_sweep",

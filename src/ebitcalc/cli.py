@@ -10,7 +10,6 @@ degree limit, and the like).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import formats
@@ -81,9 +80,11 @@ _QCHECK_ARGS = (_arg("file", help="qcheck file"), _REDUCE)
 
 
 def _read(path: str) -> str:
+    # Binary mode and bytes.decode load no codec module; newlines stay as
+    # written, and the parsers' splitlines() reads \r\n and \r as well.
     try:
-        with open(path, encoding="ascii") as f:
-            return f.read()
+        with open(path, "rb") as f:
+            return f.read().decode("ascii")
     except UnicodeDecodeError as err:
         line = err.object.count(b"\n", 0, err.start) + 1
         raise ParseError(
@@ -402,6 +403,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DOMAIN
 
     if args.json:
+        import json  # text output never loads it
+
         print(json.dumps({"command": args.command, **payload["json"]}, sort_keys=True))
     elif args.quiet:
         print(payload["quiet"])

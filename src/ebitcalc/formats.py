@@ -30,7 +30,6 @@ __all__ = [
     "parse_conv_pair",
     "parse_conv_plain",
     "parse_poly",
-    "format_gf2",
     "format_qcheck",
     "qcheck_rows",
 ]
@@ -327,10 +326,6 @@ def parse_conv_plain(text: str, tag: str = "conv") -> LaurentMatrix:
 
 # ---------------------------------------------------------------------------
 # writers
-
-
-def format_gf2(m: BinMatrix) -> str:
-    return "\n".join([f"gf2 {m.rows} {m.cols}", *m.to_strings()]) + "\n"
 
 
 def qcheck_rows(hz: BinMatrix, hx: BinMatrix) -> list[str]:

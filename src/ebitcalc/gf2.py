@@ -121,11 +121,15 @@ class BinMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BinMatrix":
-        return cls(rows, cols, (0,) * rows)
+        if rows < 0 or cols < 0:
+            raise ShapeError("matrix dimensions must be nonnegative")
+        return _make(rows, cols, (0,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "BinMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
+        if n < 0:
+            raise ShapeError("matrix dimensions must be nonnegative")
+        return _make(n, n, tuple(1 << i for i in range(n)))
 
     # -- element access -----------------------------------------------
 
@@ -194,14 +198,14 @@ class BinMatrix:
         else:
             # band a is row a of the transpose
             out = [int.from_bytes(data[a * band : (a + 1) * band], "little") for a in range(cols)]
-        return BinMatrix(cols, rows, out)
+        return _make(cols, rows, tuple(out))
 
     def __add__(self, other: "BinMatrix") -> "BinMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError(
                 f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
             )
-        return BinMatrix(self.rows, self.cols, (a ^ b for a, b in zip(self._data, other._data)))
+        return _make(self.rows, self.cols, tuple(a ^ b for a, b in zip(self._data, other._data)))
 
     def __matmul__(self, other: "BinMatrix") -> "BinMatrix":
         if self.cols != other.rows:
@@ -221,16 +225,16 @@ class BinMatrix:
             for row in other._data[8 * block : 8 * block + 8]:
                 table += [t ^ row for t in table]
             acc = [a ^ table[b] if b else a for a, b in zip(acc, left[block::width])]
-        return BinMatrix(self.rows, other.cols, acc)
+        return _make(self.rows, other.cols, tuple(acc))
 
     def hstack(self, other: "BinMatrix") -> "BinMatrix":
         if self.rows != other.rows:
             raise ShapeError("hstack needs matching row counts")
         shift = self.cols
-        return BinMatrix(
+        return _make(
             self.rows,
             self.cols + other.cols,
-            (a | (b << shift) for a, b in zip(self._data, other._data)),
+            tuple(a | (b << shift) for a, b in zip(self._data, other._data)),
         )
 
     def hsplit(self, cols: int) -> tuple["BinMatrix", "BinMatrix"]:
@@ -239,14 +243,14 @@ class BinMatrix:
             raise ShapeError(f"cannot split {self.cols} columns at {cols}")
         mask = (1 << cols) - 1
         return (
-            BinMatrix(self.rows, cols, (w & mask for w in self._data)),
-            BinMatrix(self.rows, self.cols - cols, (w >> cols for w in self._data)),
+            _make(self.rows, cols, tuple(w & mask for w in self._data)),
+            _make(self.rows, self.cols - cols, tuple(w >> cols for w in self._data)),
         )
 
     def vstack(self, other: "BinMatrix") -> "BinMatrix":
         if self.cols != other.cols:
             raise ShapeError("vstack needs matching column counts")
-        return BinMatrix(self.rows + other.rows, self.cols, self._data + other._data)
+        return _make(self.rows + other.rows, self.cols, self._data + other._data)
 
     # -- dunder housekeeping -------------------------------------------
 
@@ -265,6 +269,14 @@ class BinMatrix:
         if self.rows == 0 or self.cols == 0:
             return repr(self)
         return "\n".join(self.to_strings())
+
+
+def _make(rows: int, cols: int, words: tuple[int, ...]) -> BinMatrix:
+    """Wrap packed rows already valid for ``cols`` columns, without the
+    constructor's check of every word."""
+    m = BinMatrix.__new__(BinMatrix)
+    m.rows, m.cols, m._data = rows, cols, words
+    return m
 
 
 class RowReduction(namedtuple("RowReduction", "reduced transform pivots rank")):

@@ -24,11 +24,7 @@ __all__ = [
     "ONE",
     "OMEGA",
     "OMEGA_BAR",
-    "gf4_add",
     "gf4_mul",
-    "gf4_inv",
-    "gf4_conj",
-    "gf4_trace",
     "GF4Matrix",
     "gf4_rank",
 ]
@@ -42,9 +38,6 @@ _MUL = (
     (0, 2, 3, 1),
     (0, 3, 1, 2),
 )
-_INV = (None, 1, 3, 2)
-_CONJ = (0, 1, 3, 2)
-_TRACE = (0, 0, 1, 1)
 
 _SYMBOLS = "01wv"
 # Each symbol's coefficient of 1 (lo plane) and of w (hi plane) as a binary digit.
@@ -54,28 +47,8 @@ _HI_DIGITS = str.maketrans(_SYMBOLS, "0011")
 _STRIP_SYMBOLS = str.maketrans("", "", _SYMBOLS)
 
 
-def gf4_add(a: int, b: int) -> int:
-    return a ^ b
-
-
 def gf4_mul(a: int, b: int) -> int:
     return _MUL[a][b]
-
-
-def gf4_inv(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("0 has no inverse in GF(4)")
-    return _INV[a]
-
-
-def gf4_conj(a: int) -> int:
-    """Conjugation x -> x^2; fixes 0 and 1, swaps w and v."""
-    return _CONJ[a]
-
-
-def gf4_trace(a: int) -> int:
-    """tr(x) = x + conj(x), always 0 or 1."""
-    return _TRACE[a]
 
 
 def check_symbols(line: str) -> None:

@@ -17,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import DegreeLimitError, InternalInvariantError, OddRankError, ShapeError
-from .gf2 import BinMatrix, word_to_bits
+from .gf2 import word_to_bits
 
 __all__ = [
     "MAX_EXPONENT",
@@ -93,11 +93,6 @@ class LaurentPoly:
     @classmethod
     def one(cls) -> "LaurentPoly":
         return _ONE
-
-    @classmethod
-    def from_exponents(cls, exponents: Iterable[int]) -> "LaurentPoly":
-        """Binary polynomial with 1-coefficients at the given exponents."""
-        return cls((e, 1) for e in exponents)
 
     # -- inspection ----------------------------------------------------
 
@@ -234,18 +229,6 @@ class LaurentMatrix:
         zero = LaurentPoly.zero()
         return cls(tuple((zero,) * cols for _ in range(rows)), cols=cols)
 
-    @classmethod
-    def from_constant_binary(cls, m: BinMatrix) -> "LaurentMatrix":
-        one = LaurentPoly.one()
-        zero = LaurentPoly.zero()
-        return cls(
-            tuple(
-                tuple(one if m.entry(i, j) else zero for j in range(m.cols))
-                for i in range(m.rows)
-            ),
-            cols=m.cols,
-        )
-
     def entry(self, i: int, j: int) -> LaurentPoly:
         return self._entries[i][j]
 
@@ -290,13 +273,6 @@ class LaurentCheckMatrix(namedtuple("LaurentCheckMatrix", "hz hx")):
     @property
     def generators(self) -> int:
         return self.hz.rows
-
-    @classmethod
-    def from_constant(cls, hz: BinMatrix, hx: BinMatrix) -> "LaurentCheckMatrix":
-        return cls(
-            LaurentMatrix.from_constant_binary(hz),
-            LaurentMatrix.from_constant_binary(hx),
-        )
 
 
 def _aligned(rows: Sequence[Sequence[LaurentPoly]]) -> tuple[int, list[list]]:

@@ -107,12 +107,6 @@ class ModMatrix:
         self.cols = cols
         self.modulus = modulus
 
-    @classmethod
-    def from_rows(
-        cls, rows: Sequence[Sequence[int]], modulus: int, cols: int | None = None
-    ) -> "ModMatrix":
-        return cls(rows, modulus, cols)
-
     @property
     def rows(self) -> int:
         return len(self._entries)

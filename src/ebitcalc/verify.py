@@ -43,10 +43,8 @@ __all__ = [
     "laurent_rank_by_evaluation",
     "verify_code",
     "run_random_sweep",
-    "random_bin_matrix",
     "random_full_rank_matrix",
     "random_check_matrix",
-    "random_gf4_matrix",
 ]
 
 DEFAULT_SEED = 1729
@@ -390,11 +388,6 @@ def run_random_sweep(count: int, max_n: int, seed: int = DEFAULT_SEED) -> SweepR
 # random instance generators for sweeps and tests
 
 
-def random_bin_matrix(rng: random.Random, rows: int, cols: int) -> BinMatrix:
-    """Uniformly random binary matrix."""
-    return BinMatrix(rows, cols, (rng.getrandbits(cols) for _ in range(rows)))
-
-
 def random_full_rank_matrix(rng: random.Random, rows: int, cols: int) -> BinMatrix:
     """Random binary matrix with independent rows (requires rows <= cols)."""
     if rows > cols:
@@ -412,15 +405,3 @@ def random_check_matrix(rng: random.Random, n: int, generators: int) -> QuantumC
     stacked = random_full_rank_matrix(rng, generators, 2 * n)
     return QuantumCheckMatrix.from_stacked(stacked)
 
-
-def random_gf4_matrix(
-    rng: random.Random, rows: int, cols: int, full_row_rank: bool = False
-) -> GF4Matrix:
-    """Uniformly random GF(4) matrix, optionally resampled to full row rank."""
-    from .gf4 import GF4Matrix, gf4_rank
-
-    while True:
-        lines = ["".join("01wv"[rng.randrange(4)] for _ in range(cols)) for _ in range(rows)]
-        m = GF4Matrix.from_strings(lines, cols)
-        if not full_row_rank or gf4_rank(m) == rows:
-            return m

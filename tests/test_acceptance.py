@@ -38,12 +38,11 @@ from ebitcalc.laurent import LaurentPoly
 from ebitcalc.verify import (
     gf4_rank_by_span_enumeration,
     laurent_rank_by_evaluation,
-    random_bin_matrix,
     random_check_matrix,
     random_full_rank_matrix,
-    random_gf4_matrix,
     rank_by_span_enumeration,
 )
+from helpers import constant_laurent, random_bin_matrix, random_gf4_matrix
 
 DATA = Path(__file__).parent / "data"
 
@@ -56,7 +55,7 @@ def test_criterion_1_golden_convolutional_example():
     start = time.perf_counter()
     h = parse_conv_pair((DATA / "conv5x5.conv").read_text())
     omega = shifted_symplectic_matrix(h)
-    expected = LaurentMatrix.from_constant_binary(
+    expected = constant_laurent(
         BinMatrix.from_rows(
             [
                 [0, 1, 0, 0, 0],
@@ -134,17 +133,17 @@ def test_criterion_6_qudit_reduction():
     for _ in range(500):
         n = rng.randint(1, 8)
         h = random_check_matrix(rng, n, rng.randint(1, 2 * n))
-        hz = ModMatrix.from_rows(h.hz.to_rows(), 2)
-        hx = ModMatrix.from_rows(h.hx.to_rows(), 2)
+        hz = ModMatrix(h.hz.to_rows(), 2)
+        hx = ModMatrix(h.hx.to_rows(), 2)
         assert qudit_ebits(hz, hx) == ebit_count(h)
     for d in (3, 5, 7):
         for _ in range(100):
             n = rng.randint(1, 6)
             generators = rng.randint(1, 2 * n)
-            hz = ModMatrix.from_rows(
+            hz = ModMatrix(
                 [[rng.randrange(d) for _ in range(n)] for _ in range(generators)], d
             )
-            hx = ModMatrix.from_rows(
+            hx = ModMatrix(
                 [[rng.randrange(d) for _ in range(n)] for _ in range(generators)], d
             )
             z, x = np.array(hz.to_rows()), np.array(hx.to_rows())
@@ -184,9 +183,7 @@ def _random_laurent_set(rng):
     def poly():
         if rng.random() < 0.45:
             return LaurentPoly.zero()
-        return LaurentPoly.from_exponents(
-            rng.randint(-3, 3) for _ in range(rng.randint(1, 3))
-        )
+        return LaurentPoly((rng.randint(-3, 3), 1) for _ in range(rng.randint(1, 3)))
 
     hz = LaurentMatrix([[poly() for _ in range(n)] for _ in range(generators)])
     hx = LaurentMatrix([[poly() for _ in range(n)] for _ in range(generators)])
@@ -213,5 +210,6 @@ def test_criterion_9_constant_entry_degeneration():
     for _ in range(200):
         n = rng.randint(1, 8)
         h = random_check_matrix(rng, n, rng.randint(1, 2 * n))
-        assert conv_ebits(LaurentCheckMatrix.from_constant(h.hz, h.hx)) == ebit_count(h)
+        lifted = LaurentCheckMatrix(constant_laurent(h.hz), constant_laurent(h.hx))
+        assert conv_ebits(lifted) == ebit_count(h)
     _pass(9, "200 constant-entry convolutional counts equal the binary block counts")

@@ -395,11 +395,12 @@ def test_help_exits_zero():
 
 def test_non_ascii_input_is_parse_error(capsys, tmp_path):
     f = tmp_path / "accent.qcheck"
-    f.write_bytes("qcheck 1 1\n1|0  # café\n".encode("utf-8"))
-    code, out, err = run(capsys, "ebits", str(f))
-    assert code == EXIT_PARSE
-    assert out == ""
-    assert "line 2: non-ASCII byte 0xc3" in err
+    for newline in ("\n", "\r\n"):
+        f.write_bytes(f"qcheck 1 1{newline}1|0  # café{newline}".encode("utf-8"))
+        code, out, err = run(capsys, "ebits", str(f))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "line 2: non-ASCII byte 0xc3" in err
 
 
 def test_negative_header_dimension_is_parse_error(capsys, tmp_path):
@@ -463,14 +464,16 @@ def test_zero_qubit_generator_row_has_empty_sides(
 def test_zero_column_plain_conv_matrix_has_one_blank_row(
     capsys, tmp_path, command, header
 ):
-    # as in gf2 and gf4 files, a 0-column matrix row is a blank line
+    # as in gf2 and gf4 files, a 0-column matrix row is a blank line,
+    # whichever line ending the file uses
     path = tmp_path / "zero.txt"
-    path.write_text(f"{header}\n\n")
     paths = [str(path)] * (2 if command == "conv-css" else 1)
-    assert run(capsys, command, *paths)[:2] == (
-        EXIT_OK,
-        "ebits per frame: 0 (conjectured)\n",
-    )
+    for newline in ("\n", "\r\n"):
+        path.write_bytes(f"{header}{newline}{newline}".encode())
+        assert run(capsys, command, *paths)[:2] == (
+            EXIT_OK,
+            "ebits per frame: 0 (conjectured)\n",
+        )
     path.write_text(f"{header}\n")
     code, out, err = run(capsys, command, *paths)
     assert (code, out) == (EXIT_PARSE, "")
@@ -561,6 +564,34 @@ def test_binary_commands_do_not_import_numpy(tmp_path):
     assert result.stdout.splitlines()[-1] == f"{[0] * len(commands)} []"
     result = subprocess.run(
         [sys.executable, "-S", "-c", script, "numpy", "dataclasses", "typing", "pathlib"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+    )
+    assert result.stdout.splitlines()[-1] == f"{[0] * len(commands)} []"
+
+
+def test_text_output_loads_neither_json_nor_a_codec():
+    # Only --json needs json, and input files are read as bytes and
+    # decoded by bytes.decode, which loads no encodings submodule.  Under
+    # -S, site start-up loads neither.
+    commands = [
+        ["ebits", str(DATA / "fivequbit.qcheck")],
+        ["verify", str(DATA / "fivequbit.qcheck")],
+        ["css", str(DATA / "hamming74.gf2"), str(DATA / "hamming74.gf2")],
+        ["gf4", str(DATA / "example.gf4")],
+        ["qudit", str(DATA / "pair3.qcheckd")],
+        ["conv", str(DATA / "conv5x5.conv")],
+    ]
+    script = (
+        "import sys\n"
+        "from ebitcalc.cli import main\n"
+        f"codes = [main(argv) for argv in {commands!r}]\n"
+        "print(codes, [m for m in sys.argv[1:] if m in sys.modules])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script, "json", "encodings.ascii"],
         capture_output=True,
         text=True,
         check=True,

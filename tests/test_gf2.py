@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from ebitcalc import BinMatrix, ShapeError, first_dependent_row, rank, row_reduce
 from ebitcalc.gf2 import bits_to_word, word_to_bits
-from ebitcalc.verify import random_bin_matrix, rank_by_span_enumeration
+from ebitcalc.verify import rank_by_span_enumeration
+from helpers import random_bin_matrix
 
 
 @st.composite
@@ -250,6 +251,10 @@ def test_bad_entries_rejected():
         BinMatrix(1, 2, [4])  # bit outside the two columns
     with pytest.raises(ShapeError):
         BinMatrix.from_rows([[1, 0], [1]])
+    # zeros and identity skip the per-word check, not the shape check
+    for build in (lambda: BinMatrix.zeros(-1, 2), lambda: BinMatrix.identity(-1)):
+        with pytest.raises(ShapeError, match="nonnegative"):
+            build()
 
 
 def test_bits_and_words_round_trip():

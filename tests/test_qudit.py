@@ -23,31 +23,31 @@ from ebitcalc.verify import random_check_matrix
 
 
 def _random_mod_pair(rng, d, generators, n):
-    hz = ModMatrix.from_rows(
+    hz = ModMatrix(
         [[rng.randrange(d) for _ in range(n)] for _ in range(generators)], d
     )
-    hx = ModMatrix.from_rows(
+    hx = ModMatrix(
         [[rng.randrange(d) for _ in range(n)] for _ in range(generators)], d
     )
     return hz, hx
 
 
 def test_single_generator_needs_no_edit():
-    hz = ModMatrix.from_rows([[1]], 3)
-    hx = ModMatrix.from_rows([[0]], 3)
+    hz = ModMatrix([[1]], 3)
+    hx = ModMatrix([[0]], 3)
     assert qudit_ebits(hz, hx) == 0
 
 
 def test_anticommuting_pair_mod_three():
-    hz = ModMatrix.from_rows([[1], [0]], 3)
-    hx = ModMatrix.from_rows([[0], [1]], 3)
+    hz = ModMatrix([[1], [0]], 3)
+    hx = ModMatrix([[0], [1]], 3)
     assert qudit_ebits(hz, hx) == 1
 
 
 def test_composite_modulus_rejected():
     for d in (4, 6, 9, 1, 0):
         with pytest.raises(UnsupportedModulusError):
-            ModMatrix.from_rows([[1]], d)
+            ModMatrix([[1]], d)
 
 
 def test_primality_is_exact_on_small_moduli():
@@ -55,7 +55,7 @@ def test_primality_is_exact_on_small_moduli():
     accepted = []
     for d in range(2000):
         try:
-            ModMatrix.from_rows([[1]], d)
+            ModMatrix([[1]], d)
         except UnsupportedModulusError:
             continue
         accepted.append(d)
@@ -66,7 +66,7 @@ def test_pseudoprime_moduli_rejected():
     # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to bases 2, 3, 5, 7
     for d in (561, 3215031751):
         with pytest.raises(UnsupportedModulusError):
-            ModMatrix.from_rows([[1]], d)
+            ModMatrix([[1]], d)
 
 
 def test_large_prime_modulus_is_fast():
@@ -103,15 +103,15 @@ def _python_rank(rows, d):
 def test_large_modulus_products_do_not_wrap():
     # omega[0, 1] = -(d-1)^2 = -1 mod d, but (d-1)^2 wraps to 4d in int64
     d = 2**61 - 1
-    hz = ModMatrix.from_rows([[-1], [0]], d)
-    hx = ModMatrix.from_rows([[0], [-1]], d)
+    hz = ModMatrix([[-1], [0]], d)
+    hx = ModMatrix([[0], [-1]], d)
     assert qudit_ebits(hz, hx) == 1
-    assert mod_rank(ModMatrix.from_rows([[d - 1, d - 1], [1, d - 1]], d)) == 2
+    assert mod_rank(ModMatrix([[d - 1, d - 1], [1, d - 1]], d)) == 2
     # each product fits int64 at this d, but their sum (d-1)^2 + (d-2)(d+1)/2,
     # which is 0 mod d, does not: wrapped, it would read as one edit
     d = 3037000493
-    hz = ModMatrix.from_rows([[d - 1, d - 2], [0, 0]], d)
-    hx = ModMatrix.from_rows([[0, 0], [d - 1, (d + 1) // 2]], d)
+    hz = ModMatrix([[d - 1, d - 2], [0, 0]], d)
+    hx = ModMatrix([[0, 0], [d - 1, (d + 1) // 2]], d)
     assert qudit_ebits(hz, hx) == 0
 
 
@@ -130,9 +130,9 @@ def test_large_modulus_agrees_with_python_ints(d, seed):
         [sum(a * b - c * e for c, a, b, e in zip(z[i], x[i], z[j], x[j])) for j in range(generators)]
         for i in range(generators)
     ]
-    count = qudit_ebits(ModMatrix.from_rows(z, d), ModMatrix.from_rows(x, d))
+    count = qudit_ebits(ModMatrix(z, d), ModMatrix(x, d))
     assert count == _python_rank(omega, d) // 2
-    assert mod_rank(ModMatrix.from_rows(z, d)) == _python_rank(z, d)
+    assert mod_rank(ModMatrix(z, d)) == _python_rank(z, d)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -142,23 +142,23 @@ def test_proportional_rows_commute_at_large_modulus(seed):
     rng = random.Random(seed)
     z = [rng.randrange(d) for _ in range(40)]
     x = [rng.randrange(d) for _ in range(40)]
-    hz = ModMatrix.from_rows([z, [2 * v for v in z]], d)
-    hx = ModMatrix.from_rows([x, [2 * v for v in x]], d)
+    hz = ModMatrix([z, [2 * v for v in z]], d)
+    hx = ModMatrix([x, [2 * v for v in x]], d)
     assert qudit_ebits(hz, hx) == 0
 
 
 def test_entries_beyond_int64_reduced_mod_d():
-    m = ModMatrix.from_rows([[10**30, -(10**30)]], 7)
+    m = ModMatrix([[10**30, -(10**30)]], 7)
     assert (m.entry(0, 0), m.entry(0, 1)) == (10**30 % 7, -(10**30) % 7)
 
 
 def test_shape_and_modulus_mismatch():
     with pytest.raises(ShapeError):
-        qudit_ebits(ModMatrix.from_rows([[1]], 3), ModMatrix.from_rows([[1]], 5))
+        qudit_ebits(ModMatrix([[1]], 3), ModMatrix([[1]], 5))
     with pytest.raises(ShapeError):
-        qudit_ebits(ModMatrix.from_rows([[1]], 3), ModMatrix.from_rows([[1, 0]], 3))
+        qudit_ebits(ModMatrix([[1]], 3), ModMatrix([[1, 0]], 3))
     with pytest.raises(ShapeError):
-        qudit_ebits(ModMatrix.from_rows([], 3, 1), ModMatrix.from_rows([], 3, 2))
+        qudit_ebits(ModMatrix([], 3, 1), ModMatrix([], 3, 2))
     for ragged in ([[1], [1, 0]], [1, 0]):
         with pytest.raises(ShapeError):
             ModMatrix(ragged, 3)
@@ -167,14 +167,14 @@ def test_shape_and_modulus_mismatch():
 
 
 def test_entries_reduced_mod_d():
-    m = ModMatrix.from_rows([[5, -1]], 3)
+    m = ModMatrix([[5, -1]], 3)
     assert (m.entry(0, 0), m.entry(0, 1)) == (2, 2)
 
 
 def test_mod_rank_examples():
-    assert mod_rank(ModMatrix.from_rows([[1, 2], [2, 4]], 5)) == 1
-    assert mod_rank(ModMatrix.from_rows([[1, 0], [0, 1]], 7)) == 2
-    assert mod_rank(ModMatrix.from_rows([[0, 0], [0, 0]], 3)) == 0
+    assert mod_rank(ModMatrix([[1, 2], [2, 4]], 5)) == 1
+    assert mod_rank(ModMatrix([[1, 0], [0, 1]], 7)) == 2
+    assert mod_rank(ModMatrix([[0, 0], [0, 0]], 3)) == 0
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -182,8 +182,8 @@ def test_mod_two_agrees_with_binary_count(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 8)
     h = random_check_matrix(rng, n, rng.randint(1, 2 * n))
-    hz = ModMatrix.from_rows(h.hz.to_rows(), 2)
-    hx = ModMatrix.from_rows(h.hx.to_rows(), 2)
+    hz = ModMatrix(h.hz.to_rows(), 2)
+    hx = ModMatrix(h.hx.to_rows(), 2)
     assert qudit_ebits(hz, hx) == ebit_count(h)
 
 

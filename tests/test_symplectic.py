@@ -26,10 +26,10 @@ from ebitcalc import (
 from ebitcalc.formats import format_qcheck, parse_qcheck
 from ebitcalc.verify import (
     product_matrix_by_popcount,
-    random_bin_matrix,
     random_check_matrix,
     rank_by_span_enumeration,
 )
+from helpers import random_bin_matrix
 
 FIVE_QUBIT = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
 
@@ -364,6 +364,34 @@ def _commuting_first_sets(draw):
 @example(_commuting_first_set(random.Random(7), 24, 6, 10))
 def test_sgsop_matches_rescanning_reference_property(h):
     assert _outcome(symplectic_gram_schmidt(h)) == _reference_sgsop(h)
+
+
+def _symplectic_complement(h):
+    """The generators of V^perp, the null space of [HX | HZ] read off its reduced form.
+
+    A row (z | x) has symplectic product 0 with every generator exactly
+    when HX z + HZ x = 0, so bit j of a null vector is bit j of (z | x).
+    """
+    reduction = row_reduce(h.hx.hstack(h.hz))
+    basis = []
+    for free in sorted(set(range(2 * h.n)) - set(reduction.pivots)):
+        word = 1 << free
+        for i, pivot in enumerate(reduction.pivots):
+            word |= reduction.reduced.entry(i, free) << pivot
+        basis.append(word)
+    return QuantumCheckMatrix.from_stacked(BinMatrix(len(basis), 2 * h.n, basis))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(_random_sets())
+@example(QuantumCheckMatrix(BinMatrix.zeros(0, 3), BinMatrix.zeros(0, 3)))
+@example(QuantumCheckMatrix.from_pauli_strings(["XZY"]))
+def test_complement_needs_n_minus_m_more_ebits_property(h):
+    # V and V^perp share the radical V & V^perp, so their counts differ
+    # by half the difference of their dimensions, 2n - 2m.
+    perp = _symplectic_complement(h)
+    assert perp.generators == 2 * h.n - h.generators
+    assert ebit_count(perp) == ebit_count(h) + h.n - h.generators
 
 
 def test_commuting_first_set_has_the_requested_count():

@@ -27,15 +27,14 @@ from ebitcalc.verify import (
     gf4_rank_by_span_enumeration,
     laurent_rank_by_evaluation,
     product_matrix_by_popcount,
-    random_bin_matrix,
     random_check_matrix,
     random_full_rank_matrix,
-    random_gf4_matrix,
     rank_by_span_enumeration,
     rational_rank,
     run_random_sweep,
     verify_code,
 )
+from helpers import constant_laurent, random_bin_matrix, random_gf4_matrix
 
 SHIFTED_5X5 = BinMatrix.from_rows(
     [
@@ -160,12 +159,12 @@ def test_unsupported_field_degree():
 
 
 def test_evaluation_oracle_examples():
-    d = LaurentPoly.from_exponents([1])
+    d = LaurentPoly([(1, 1)])
     zero = LaurentPoly.zero()
-    diag = LaurentMatrix([[d, zero], [zero, LaurentPoly.from_exponents([0, 1])]])
+    diag = LaurentMatrix([[d, zero], [zero, LaurentPoly([(0, 1), (1, 1)])]])
     assert laurent_rank_by_evaluation(diag, trials=3) == 2
     assert laurent_rank_by_evaluation(LaurentMatrix.zeros(2, 2), trials=2) == 0
-    constant = LaurentMatrix.from_constant_binary(SHIFTED_5X5)
+    constant = constant_laurent(SHIFTED_5X5)
     assert laurent_rank_by_evaluation(constant, trials=1) == 4
     assert laurent_rank_by_evaluation(constant, trials=1, field_degree=12) == 4
 
@@ -230,13 +229,6 @@ def test_random_generators_validate():
     m = random_full_rank_matrix(rng, 5, 9)
     # the generator shares gf2's XOR basis, so its rank is read by the oracle
     assert rank_by_span_enumeration(m) == 5
-    g = random_gf4_matrix(rng, 3, 5, full_row_rank=True)
-    assert gf4_rank(g) == 3
-
-
-def test_random_gf4_matrix_without_rows_keeps_its_width():
-    m = random_gf4_matrix(random.Random(0), 0, 3)
-    assert (m.rows, m.cols) == (0, 3)
 
 
 @pytest.mark.parametrize(
