@@ -26,15 +26,7 @@ _EXPORTS = {
         "UnsupportedModulusError",
     ),
     "gf2": ("BinMatrix", "RowReduction", "first_dependent_row", "rank", "row_reduce"),
-    "gf4": (
-        "GF4Matrix",
-        "OMEGA",
-        "OMEGA_BAR",
-        "ONE",
-        "ZERO",
-        "gf4_mul",
-        "gf4_rank",
-    ),
+    "gf4": ("GF4Matrix", "gf4_mul", "gf4_rank"),
     "symplectic": (
         "CodeParameters",
         "QuantumCheckMatrix",
@@ -70,7 +62,6 @@ _EXPORTS = {
     ),
     "verify": (
         "DEFAULT_SEED",
-        "BinaryExtField",
         "SweepResult",
         "VerificationReport",
         "gf4_rank_by_span_enumeration",

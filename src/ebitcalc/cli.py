@@ -187,12 +187,12 @@ def _cmd_sgsop(args) -> dict:
 def _cmd_css(args) -> dict:
     from .classical import css_parameters
 
-    h1 = formats.parse_gf2(_read(args.file1))
-    h2 = formats.parse_gf2(_read(args.file2))
     if (args.d1 is None) != (args.d2 is None):
         raise _UsageError("--d1 and --d2 must be given together")
     if args.d1 is not None and min(args.d1, args.d2) < 1:
         raise _UsageError("--d1 and --d2 must be positive")
+    h1 = formats.parse_gf2(_read(args.file1))
+    h2 = formats.parse_gf2(_read(args.file2))
     p = css_parameters(h1, h2, args.d1, args.d2)
     return _parameters(p, p.ebits)
 

@@ -19,17 +19,7 @@ from collections.abc import Sequence
 from .errors import InternalInvariantError, ShapeError
 from .gf2 import BinMatrix, rank
 
-__all__ = [
-    "ZERO",
-    "ONE",
-    "OMEGA",
-    "OMEGA_BAR",
-    "gf4_mul",
-    "GF4Matrix",
-    "gf4_rank",
-]
-
-ZERO, ONE, OMEGA, OMEGA_BAR = 0, 1, 2, 3
+__all__ = ["gf4_mul", "GF4Matrix", "gf4_rank"]
 
 # w*w = v, w*v = 1, v*v = w
 _MUL = (

@@ -2,11 +2,11 @@
 
 Every rank claim in the package can be replayed here by a different
 method: span enumeration over GF(2) or GF(4), exact rational
-elimination, or random evaluation of delay polynomials in a large
-binary extension field.  :func:`verify_code` replays the ebit formula
-against the pairing procedure (and the enumeration oracle when small
-enough) on a single generator set, and checks the procedure's output
-with XORs and popcounts only, never with the formula's GF(2) kernels;
+elimination, or random evaluation of delay polynomials in GF(2^16).
+:func:`verify_code` replays the ebit formula against the pairing
+procedure (and the enumeration oracle when small enough) on a single
+generator set, and checks the procedure's output with XORs and
+popcounts only, never with the formula's GF(2) kernels;
 :func:`run_random_sweep` does so in bulk with a fixed default seed so
 failures reproduce.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from collections import Counter, namedtuple
 from collections.abc import Callable, Sequence
+from functools import cache
 from itertools import compress, islice, tee
 
 from .errors import InternalInvariantError, SizeLimitError
@@ -39,7 +40,6 @@ __all__ = [
     "rank_by_span_enumeration",
     "gf4_rank_by_span_enumeration",
     "rational_rank",
-    "BinaryExtField",
     "laurent_rank_by_evaluation",
     "verify_code",
     "run_random_sweep",
@@ -154,120 +154,74 @@ def rational_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
 # ---------------------------------------------------------------------------
 # evaluation oracle for delay-polynomial matrices
 
-# Standard primitive polynomials, condensed exponent form.
-_PRIMITIVE_POLYS = {
-    8: (8, 4, 3, 2, 0),
-    12: (12, 7, 6, 5, 3, 1, 0),
-    16: (16, 5, 3, 2, 0),
-}
+# GF(2^16) under the primitive polynomial x^16 + x^5 + x^3 + x^2 + 1, so
+# every nonzero element is a power of x and multiplies by adding logs.
+_GROUP = (1 << 16) - 1
+_POLY = 0x1002D
+# Logs of the GF(4) codes 1, w, v: w = x^(_GROUP/3) is a cube root of unity.
+_GF4_LOGS = (None, 0, _GROUP // 3, 2 * _GROUP // 3)
 
 
-class BinaryExtField:
-    """Arithmetic in GF(2^m) for the supported degrees."""
-
-    def __init__(self, degree: int):
-        if degree not in _PRIMITIVE_POLYS:
-            supported = sorted(_PRIMITIVE_POLYS)
-            raise ValueError(f"degree {degree} unsupported; choose one of {supported}")
-        self.degree = degree
-        self.order = 1 << degree
-        poly = 0
-        for e in _PRIMITIVE_POLYS[degree]:
-            poly |= 1 << e
-        self._poly = poly
-
-    def mul(self, a: int, b: int) -> int:
-        acc = 0
-        top = 1 << self.degree
-        while b:
-            if b & 1:
-                acc ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= self._poly
-        return acc
-
-    def pow(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self.pow(a, self.order - 2)
-
-    def gf4_embedding(self) -> tuple[int, int, int, int]:
-        """Images of the four GF(4) elements inside this field.
-
-        Every supported degree is even, so 3 divides 2^m - 1 and the cube
-        root of unity is x^((2^m - 1)/3) for the primitive element x.
-        """
-        w = self.pow(2, (self.order - 1) // 3)
-        return (0, 1, w, self.mul(w, w))
+@cache
+def _field_tables() -> tuple[memoryview, memoryview]:
+    """Antilog and log tables of GF(2^16), built on first use.  The antilog
+    table runs twice round the group, so a sum of two logs indexes it as is."""
+    exp = memoryview(bytearray(4 * _GROUP)).cast("H")
+    log = memoryview(bytearray(2 * (_GROUP + 1))).cast("H")
+    a = 1
+    for i in range(_GROUP):
+        exp[i] = exp[i + _GROUP] = a
+        log[a] = i
+        a <<= 1
+        if a >> 16:
+            a ^= _POLY
+    return exp.toreadonly(), log.toreadonly()
 
 
-def _field_rank(field: BinaryExtField, rows: list[list[int]]) -> int:
+def _field_rank(rows: list[list[int]]) -> int:
+    exp, log = _field_tables()
+
     def clear(row: list[int], pivot_row: list[int], col: int) -> list[int]:
-        factor = field.mul(row[col], field.inv(pivot_row[col]))
-        return [a ^ field.mul(factor, b) for a, b in zip(row, pivot_row)]
+        factor = (log[row[col]] - log[pivot_row[col]]) % _GROUP
+        return [a ^ exp[factor + log[b]] if b else a for a, b in zip(row, pivot_row)]
 
     return _forward_rank(rows, clear)
 
 
-def _evaluate_matrix(
-    m: LaurentMatrix, field: BinaryExtField, point: int
-) -> list[list[int]]:
-    embed = field.gf4_embedding()
-    inv_point = field.inv(point)
-    powers: dict[int, int] = {0: 1}
-
-    def power(e: int) -> int:
-        cached = powers.get(e)
-        if cached is None:
-            base = point if e >= 0 else inv_point
-            cached = field.pow(base, abs(e))
-            powers[e] = cached
-        return cached
-
+def _evaluate_matrix(terms: list[list[dict[int, int]]], point: int) -> list[list[int]]:
+    """M(a) at a = ``point``, from the ``terms()`` of each entry of M: a
+    term c D^e maps to x^(log c + e log a)."""
+    exp, log = _field_tables()
+    step = log[point]
     out = []
-    for i in range(m.rows):
+    for terms_row in terms:
         row = []
-        for j in range(m.cols):
+        for entry in terms_row:
             total = 0
-            for e, c in m.entry(i, j).terms().items():
-                total ^= field.mul(embed[c], power(e))
+            for e, c in entry.items():
+                total ^= exp[(_GF4_LOGS[c] + e * step) % _GROUP]
             row.append(total)
         out.append(row)
     return out
 
 
 def laurent_rank_by_evaluation(
-    m: LaurentMatrix,
-    trials: int = 5,
-    field_degree: int = 16,
-    rng: random.Random | None = None,
+    m: LaurentMatrix, trials: int = 5, rng: random.Random | None = None
 ) -> int:
-    """Max rank of M(a) over random nonzero points a in GF(2^m).
+    """Max rank of M(a) over random nonzero points a in GF(2^16).
 
     Always a lower bound on the rational-function rank; equal with high
     probability once the field is large next to the entry degrees.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    field = BinaryExtField(field_degree)
     if rng is None:
         rng = random.Random(DEFAULT_SEED)
+    terms = [[m.entry(i, j).terms() for j in range(m.cols)] for i in range(m.rows)]
     best = 0
     for _ in range(trials):
-        point = rng.randrange(1, field.order)
-        best = max(best, _field_rank(field, _evaluate_matrix(m, field, point)))
+        point = rng.randrange(1, _GROUP + 1)
+        best = max(best, _field_rank(_evaluate_matrix(terms, point)))
     return best
 
 
@@ -365,13 +319,16 @@ class SweepResult(namedtuple("SweepResult", "seed cases failures")):
 def run_random_sweep(count: int, max_n: int, seed: int = DEFAULT_SEED) -> SweepResult:
     """Run :func:`verify_code` on ``count`` random generator sets.
 
-    Qubit counts are uniform in 1..max_n and generator counts uniform in
-    1..2n; the seed is recorded so any failure replays exactly.
+    Qubit counts are uniform in 1..max_n, for max_n up to 2048, and
+    generator counts uniform in 1..2n; the seed is recorded so any failure
+    replays exactly.
     """
     if count < 1:
         raise ValueError("count must be positive")
     if max_n < 1:
         raise ValueError("max_n must be positive")
+    if max_n > 2048:
+        raise SizeLimitError(f"random sweeps limited to 2048 qubits, got max_n {max_n}")
     rng = random.Random(seed)
     failures = []
     for index in range(count):

@@ -284,6 +284,12 @@ def test_verify_random_sweep_reports_a_disagreeing_case(capsys, monkeypatch, fla
         assert out.splitlines() == ["cases: 3", "seed: 7", "failures: 1", case, "agreement: NO"]
 
 
+def test_verify_random_max_n_beyond_the_sweep_limit_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "verify", "--random", "1", "--max-n", "100000000", "--seed", "3")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == "error: random sweeps limited to 2048 qubits, got max_n 100000000\n"
+
+
 def test_verify_needs_file_or_random(capsys):
     code, _, err = run(capsys, "verify")
     assert code == EXIT_USAGE
@@ -429,6 +435,9 @@ def test_negative_header_dimension_is_parse_error(capsys, tmp_path):
         ),
         (("cv", str(DATA / "pair.cvcheck"), "--tol", "1"), "--tol must be a nonnegative"),
         (("cv", str(DATA / "pair.cvcheck"), "--tol", "inf"), "--tol must be a nonnegative"),
+        # flags are checked before either file is read
+        (("css", "no1.gf2", "no2.gf2", "--d1", "3"), "--d1 and --d2 must be given together"),
+        (("css", "no1.gf2", "no2.gf2", "--d1", "0", "--d2", "3"), "--d1 and --d2 must be positive"),
     ],
 )
 def test_bad_option_values_are_usage_errors(capsys, argv, message):
@@ -621,20 +630,23 @@ def test_verify_does_not_import_laurent():
 
 def test_verify_file_check_loads_neither_gf4_nor_fractions():
     # Only the oracles that tests call use gf4 and fractions (which loads
-    # decimal), so checking a file compiles and imports neither.
+    # decimal), so checking a file compiles and imports neither.  Nor does
+    # it build the evaluation oracle's GF(2^16) tables or load array.
     script = (
         "import sys\n"
+        "from ebitcalc import verify\n"
         "from ebitcalc.cli import main\n"
         f"code = main(['verify', '--json', {str(DATA / 'fivequbit.qcheck')!r}])\n"
-        "print(code, [m for m in sys.argv[1:] if m in sys.modules])\n"
+        "tables = verify._field_tables.cache_info().currsize\n"
+        "print(code, tables, [m for m in sys.argv[1:] if m in sys.modules])\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", script, "ebitcalc.gf4", "fractions", "decimal"],
+        [sys.executable, "-c", script, "ebitcalc.gf4", "fractions", "decimal", "array"],
         capture_output=True,
         text=True,
         check=True,
     )
-    assert result.stdout.splitlines()[-1] == "0 []"
+    assert result.stdout.splitlines()[-1] == "0 0 []"
 
 
 HEADER_ONLY_COLUMNS = 10**7

@@ -12,10 +12,6 @@ from ebitcalc import (
     BinMatrix,
     GF4Matrix,
     InternalInvariantError,
-    OMEGA,
-    OMEGA_BAR,
-    ONE,
-    ZERO,
     ShapeError,
     gf4_mul,
     gf4_rank,
@@ -29,6 +25,8 @@ from ebitcalc.formats import parse_gf4
 from ebitcalc.verify import gf4_rank_by_span_enumeration
 from helpers import random_gf4_matrix
 
+# The codes of 0, 1, w and v = w + 1.
+ZERO, ONE, OMEGA, OMEGA_BAR = 0, 1, 2, 3
 ELEMENTS = (ZERO, ONE, OMEGA, OMEGA_BAR)
 # Addition is XOR of the codes; conjugation fixes 0 and 1 and swaps w and v.
 CONJ = (ZERO, ONE, OMEGA_BAR, OMEGA)

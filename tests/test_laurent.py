@@ -426,7 +426,7 @@ def test_rank_equals_evaluation_oracle_property(m):
     # vanishes at one of 2^16 - 1 points with probability below 1/1000.
     r = laurent_rank(m)
     assert r <= min(m.rows, m.cols)
-    assert r == laurent_rank_by_evaluation(m, field_degree=16)
+    assert r == laurent_rank_by_evaluation(m)
 
 
 def _constant_grids():
@@ -476,7 +476,20 @@ def test_dense_rank_time_bound(n, max_exp, bound):
     start = time.perf_counter()
     r = laurent_rank(m)
     assert time.perf_counter() - start < bound
-    assert r == laurent_rank_by_evaluation(m, field_degree=16)
+    assert r == laurent_rank_by_evaluation(m)
+
+
+def test_evaluation_oracle_time_bound():
+    # Log tables make a field product two lookups, about 20 ms in all; a
+    # bit-serial multiply takes about 0.2 s.
+    m = _random_dense(random.Random(24), 24, 10, gf4=True)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        r = laurent_rank_by_evaluation(m)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1
+    assert r == 24
 
 
 def _mixed_conv_text(rng, pairs: int, n: int, max_exp: int, moves: int) -> str:

@@ -13,6 +13,7 @@ from ebitcalc import (
     InternalInvariantError,
     LaurentMatrix,
     LaurentPoly,
+    MAX_EXPONENT,
     QuantumCheckMatrix,
     SizeLimitError,
     ebit_count,
@@ -23,7 +24,6 @@ from ebitcalc import (
 from ebitcalc import gf2, symplectic, verify
 from ebitcalc.verify import (
     DEFAULT_SEED,
-    BinaryExtField,
     gf4_rank_by_span_enumeration,
     laurent_rank_by_evaluation,
     product_matrix_by_popcount,
@@ -123,39 +123,78 @@ def test_rational_rank_fractions():
     assert rational_rank([[3]]) == 1
 
 
+# x^16 + x^5 + x^3 + x^2 + 1, the modulus of the evaluation oracle's field
+POLY_16 = 0x1002D
+GROUP_16 = (1 << 16) - 1
+
+
+def _gf_mul(a, b):
+    """Shift-and-add product in GF(2^16): the reference for the log tables."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        b >>= 1
+        a <<= 1
+        if a >> 16:
+            a ^= POLY_16
+    return acc
+
+
+def _gf_inv(a):
+    """a^(2^16 - 2), square and multiply."""
+    result = 1
+    for bit in bin(GROUP_16 - 1)[2:]:
+        result = _gf_mul(result, result)
+        if bit == "1":
+            result = _gf_mul(result, a)
+    return result
+
+
 def test_binary_ext_field_axioms():
-    field = BinaryExtField(16)
+    # Each antilog entry is x times the one before, and the first 2^16 - 1
+    # hit every nonzero element once, so x is primitive and the quotient is
+    # a field; the log table inverts the antilog table.
+    exp, log = verify._field_tables()
+    assert exp[0] == 1
+    assert all(exp[i + 1] == _gf_mul(exp[i], 2) for i in range(2 * GROUP_16 - 1))
+    assert sorted(exp[:GROUP_16]) == list(range(1, GROUP_16 + 1))
+    assert all(log[exp[i]] == i for i in range(GROUP_16))
     rng = random.Random(5)
-    for _ in range(50):
-        a = rng.randrange(field.order)
-        b = rng.randrange(field.order)
-        c = rng.randrange(field.order)
-        assert field.mul(a, b) == field.mul(b, a)
-        assert field.mul(a, field.mul(b, c)) == field.mul(field.mul(a, b), c)
-        assert field.mul(a, b ^ c) == field.mul(a, b) ^ field.mul(a, c)
-        if a:
-            assert field.mul(a, field.inv(a)) == 1
-    assert field.pow(3, field.order - 1) == 1  # Lagrange
+    for _ in range(200):
+        a, b = rng.randrange(1, GROUP_16 + 1), rng.randrange(1, GROUP_16 + 1)
+        assert exp[log[a] + log[b]] == _gf_mul(a, b)
+        assert _gf_mul(a, _gf_inv(a)) == 1
 
 
 def test_binary_ext_field_gf4_embedding():
-    field = BinaryExtField(16)
-    zero, one, w, v = field.gf4_embedding()
-    assert (zero, one) == (0, 1)
-    assert field.mul(w, w) == v
-    assert field.mul(w, v) == 1
-    assert w ^ 1 == v  # v = w + 1
-    # every supported degree is even and embeds GF(4); odd degrees are unsupported
-    f8 = BinaryExtField(8)
-    _, _, w8, v8 = f8.gf4_embedding()
-    assert f8.mul(w8, w8) == v8
-    with pytest.raises(ValueError, match="unsupported"):
-        BinaryExtField(9)
+    # w = x^((2^16 - 1)/3) is a primitive cube root of unity, and the GF(4)
+    # codes 1, w, v map to 1, w, w + 1.
+    exp, _ = verify._field_tables()
+    w = exp[GROUP_16 // 3]
+    assert w != 1
+    assert _gf_mul(w, w) == w ^ 1
+    assert _gf_mul(w, w ^ 1) == 1
+    assert [exp[g] for g in verify._GF4_LOGS[1:]] == [1, w, w ^ 1]
 
 
-def test_unsupported_field_degree():
-    with pytest.raises(ValueError):
-        BinaryExtField(11)
+def _evaluate(p, point):
+    return verify._evaluate_matrix([[p.terms()]], point)[0][0]
+
+
+gf4_polys = st.lists(
+    st.tuples(st.integers(-MAX_EXPONENT, MAX_EXPONENT), st.integers(1, 3)), max_size=6
+).map(LaurentPoly)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(gf4_polys, gf4_polys, st.integers(1, GROUP_16))
+def test_evaluation_is_a_ring_homomorphism(p, q, point):
+    # This pins the GF(4) embedding and the negative powers, which a
+    # comparison of ranks can miss.
+    assert _evaluate(p * q, point) == _gf_mul(_evaluate(p, point), _evaluate(q, point))
+    assert _evaluate(p + q, point) == _evaluate(p, point) ^ _evaluate(q, point)
+    assert _evaluate(p.subs_inverse(), point) == _evaluate(p, _gf_inv(point))
 
 
 def test_evaluation_oracle_examples():
@@ -166,15 +205,12 @@ def test_evaluation_oracle_examples():
     assert laurent_rank_by_evaluation(LaurentMatrix.zeros(2, 2), trials=2) == 0
     constant = constant_laurent(SHIFTED_5X5)
     assert laurent_rank_by_evaluation(constant, trials=1) == 4
-    assert laurent_rank_by_evaluation(constant, trials=1, field_degree=12) == 4
 
 
 def test_evaluation_oracle_validates_arguments():
     m = LaurentMatrix.zeros(1, 1)
     with pytest.raises(ValueError):
         laurent_rank_by_evaluation(m, trials=0)
-    with pytest.raises(ValueError):
-        laurent_rank_by_evaluation(m, field_degree=4)
 
 
 def test_verify_single_qubit_pair():
@@ -207,6 +243,14 @@ def test_sweep_is_reproducible():
     assert a.seed == 77
     assert a.cases == 30
     assert a.agreement
+
+
+def test_sweep_bounds_max_n_before_drawing(monkeypatch):
+    monkeypatch.setattr(verify, "random_check_matrix", None)  # any draw would fail
+    with pytest.raises(SizeLimitError, match="limited to 2048 qubits, got max_n 2049"):
+        run_random_sweep(1, 2049)
+    with pytest.raises(SizeLimitError):
+        run_random_sweep(1, 10**8)
 
 
 def test_sweep_default_seed_recorded():
