@@ -35,7 +35,6 @@ _EXPORTS = {
         "ebit_count",
         "sgsop",
         "symplectic_gram_schmidt",
-        "symplectic_product_matrix",
         "symplectic_product_table",
     ),
     "classical": (
@@ -45,7 +44,6 @@ _EXPORTS = {
         "gf4_ebits",
         "gf4_parameters",
         "gf4_symplectic_rows",
-        "gf4_to_binary",
     ),
     "qudit": ("ModMatrix", "mod_rank", "qudit_ebits"),
     "cv": ("DEFAULT_TOLERANCE", "RealCheckMatrix", "cv_ebit_count", "numerical_rank"),

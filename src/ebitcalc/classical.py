@@ -17,7 +17,6 @@ __all__ = [
     "css_ebits",
     "css_parameters",
     "gf4_symplectic_rows",
-    "gf4_to_binary",
     "gf4_ebits",
     "gf4_parameters",
 ]
@@ -72,7 +71,10 @@ def css_parameters(
 def gf4_symplectic_rows(h: GF4Matrix) -> tuple[BinMatrix, BinMatrix]:
     """Raw binary (Z, X) expansion of the stacked [w*H; v*H] block.
 
-    No generator-set validation happens here; see :func:`gf4_to_binary`.
+    The 2r binary rows are independent exactly when the r quaternary rows
+    are.  No generator-set validation happens here: ``QuantumCheckMatrix``
+    raises on a dependent input, and ``QuantumCheckMatrix.reduced`` drops
+    its dependent rows.
     """
     # An entry x*w + z*v expands to the bit pair (Z, X) = (z, x).  With
     # a + wb = (a + b)w + av, a matrix lo + w*hi has Z = lo and X = lo + hi;
@@ -81,21 +83,11 @@ def gf4_symplectic_rows(h: GF4Matrix) -> tuple[BinMatrix, BinMatrix]:
     return h.hi.vstack(lo_plus_hi), h.lo.vstack(h.hi)
 
 
-def gf4_to_binary(h: GF4Matrix) -> QuantumCheckMatrix:
-    """Generator set imported from a quaternary parity check.
-
-    The 2r binary rows are independent exactly when the r quaternary
-    rows are; a dependent input raises.  To drop dependent rows instead,
-    pass :func:`gf4_symplectic_rows` to ``QuantumCheckMatrix.reduced``.
-    """
-    return QuantumCheckMatrix(*gf4_symplectic_rows(h))
-
-
 def gf4_ebits(h: GF4Matrix) -> int:
     """Ebits consumed by the quaternary import: rank over GF(4) of H @ H†."""
     if not h.rows:  # H† would hold one empty row per column
         return 0
-    return gf4_rank(h @ h.conj_transpose())
+    return gf4_rank(h @ h.conj().transpose())
 
 
 def gf4_parameters(h: GF4Matrix) -> CodeParameters:

@@ -251,9 +251,8 @@ def _cmd_cv(args) -> dict:
     tol = DEFAULT_TOLERANCE if args.tol is None else args.tol
     if not 0 <= tol < 1:
         raise _UsageError(f"--tol must be a nonnegative number below 1, got {tol}")
-    z, x = formats.parse_cvcheck(_read(args.file))
-    h = RealCheckMatrix(z, x, tolerance=tol)
-    c = cv_ebit_count(h)
+    h = RealCheckMatrix(*formats.parse_cvcheck(_read(args.file)))
+    c = cv_ebit_count(h, tol)
     return _count("entangled modes", c, h.n, h.generators, tolerance=tol)
 
 

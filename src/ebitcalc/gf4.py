@@ -106,9 +106,6 @@ class GF4Matrix:
         # conj(a + wb) = a + vb = (a + b) + wb
         return GF4Matrix.from_planes(self.lo + self.hi, self.hi)
 
-    def conj_transpose(self) -> "GF4Matrix":
-        return self.conj().transpose()
-
     def __matmul__(self, other: "GF4Matrix") -> "GF4Matrix":
         if self.cols != other.rows:
             raise ShapeError(

@@ -17,7 +17,6 @@ from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import DegreeLimitError, InternalInvariantError, OddRankError, ShapeError
-from .gf2 import word_to_bits
 
 __all__ = [
     "MAX_EXPONENT",
@@ -99,19 +98,15 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self.lo or self.hi)
 
-    def _items(self) -> list[tuple[int, int]]:
-        """(exponent, coefficient) of every nonzero term, exponents increasing."""
-        width = (self.lo | self.hi).bit_length()
-        lows = word_to_bits(self.lo, width)
-        highs = word_to_bits(self.hi, width)
-        return [
-            (self.offset + j, int(a) | int(b) << 1)
-            for j, (a, b) in enumerate(zip(lows, highs))
-            if a == "1" or b == "1"
-        ]
-
     def terms(self) -> dict[int, int]:
-        return dict(self._items())
+        """Coefficient of every nonzero term by exponent, exponents increasing."""
+        lo, hi, out = self.lo, self.hi, {}
+        rest = lo | hi
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            out[self.offset + j] = (lo >> j & 1) | (hi >> j & 1) << 1
+            rest &= rest - 1
+        return out
 
     def min_exp(self) -> int | None:
         return self.offset if self else None
@@ -146,12 +141,12 @@ class LaurentPoly:
         """Substitute D -> D^-1 (negate every exponent)."""
         if not self:
             return _ZERO
-        # Reading the width-bit little-endian digits as a big-endian number
-        # reverses them; the top bit of lo | hi becomes bit 0.
+        # Reading the width binary digits backwards reverses them; the top
+        # bit of lo | hi becomes bit 0.
         width = (self.lo | self.hi).bit_length()
         return _make(
-            int(word_to_bits(self.lo, width), 2),
-            int(word_to_bits(self.hi, width), 2),
+            int(f"{self.lo:0{width}b}"[::-1], 2),
+            int(f"{self.hi:0{width}b}"[::-1], 2),
             -(self.offset + width - 1),
         )
 
@@ -175,15 +170,10 @@ class LaurentPoly:
     def __str__(self) -> str:
         if not self:
             return "0"
-        parts = []
-        for e, c in self._items():
-            if e == 0:
-                parts.append(_COEFF_SYMBOL[c])
-            elif e == 1:
-                parts.append(f"{_COEFF_PREFIX[c]}D")
-            else:
-                parts.append(f"{_COEFF_PREFIX[c]}D^{e}")
-        return "+".join(parts)
+        return "+".join(
+            _COEFF_SYMBOL[c] if e == 0 else f"{_COEFF_PREFIX[c]}D" + (f"^{e}" if e != 1 else "")
+            for e, c in self.terms().items()
+        )
 
 
 def _stored_form(lo: int, hi: int, offset: int) -> tuple[int, int, int]:

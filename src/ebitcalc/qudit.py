@@ -22,7 +22,7 @@ the next:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from operator import mul
+from operator import index, mul
 
 from .errors import InternalInvariantError, ShapeError, UnsupportedModulusError
 
@@ -30,12 +30,14 @@ __all__ = ["ModMatrix", "mod_rank", "qudit_ebits"]
 
 
 # The first 13 primes: as Miller-Rabin bases they admit no strong
-# pseudoprime below 3.3e24 (Sorenson & Webster 2015), far above the cap.
+# pseudoprime below psi_13 (Sorenson & Webster 2015), which is composite
+# yet passes, so the modulus is capped below it.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 def _is_prime(d: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact for d < 3.3e24."""
+    """Deterministic Miller-Rabin primality test, exact for d < psi_13."""
     if d < 2:
         return False
     for p in _WITNESSES:
@@ -56,9 +58,6 @@ def _is_prime(d: int) -> bool:
         else:
             return False
     return True
-
-
-_INT64_MAX = (1 << 63) - 1
 
 
 def _lane_bytes(bound: int) -> int:
@@ -87,18 +86,31 @@ class ModMatrix:
     __slots__ = ("_entries", "cols", "modulus")
 
     def __init__(self, entries: Sequence[Sequence[int]], modulus: int, cols: int | None = None):
-        if modulus > _INT64_MAX:
+        try:
+            modulus = index(modulus)
+        except TypeError:
+            raise UnsupportedModulusError(f"modulus {modulus!r} is not an integer") from None
+        if modulus >= _PSI_13:
             raise UnsupportedModulusError(
-                f"modulus {modulus} is above the cap of 2^63 - 1 (the int64 maximum)"
+                f"modulus {modulus} is not below the cap of {_PSI_13}, from which on "
+                "the primality test is not a proof"
             )
         if not _is_prime(modulus):
             raise UnsupportedModulusError(
                 f"modulus {modulus} is not prime; rank over Z_d needs a field"
             )
         try:
-            grid = tuple(tuple([int(v) % modulus for v in row]) for row in entries)
+            rows = [tuple(row) for row in entries]
         except TypeError:
             raise ShapeError("ModMatrix needs a 2-D entry grid") from None
+        try:
+            grid = tuple(tuple([index(v) % modulus for v in row]) for row in rows)
+        except TypeError:
+            for i, row in enumerate(rows):
+                for j, v in enumerate(row):
+                    if not hasattr(v, "__index__"):
+                        raise ValueError(f"entry ({i},{j}) is not an integer: {v!r}") from None
+            raise
         if cols is None:
             cols = len(grid[0]) if grid else 0
         if any(len(row) != cols for row in grid):
@@ -165,8 +177,8 @@ def mod_rank(m: ModMatrix) -> int:
 def qudit_ebits(hz: ModMatrix, hx: ModMatrix) -> int:
     """Edits consumed by a qudit generator set (HZ | HX) over prime d.
 
-    Half the Z_d rank of HX @ HZ^T - HZ @ HX^T; antisymmetry and even
-    rank are verified, never assumed.
+    Half the Z_d rank of HX @ HZ^T - HZ @ HX^T, which is antisymmetric
+    by construction; the even rank is verified, never assumed.
     """
     if hz.modulus != hx.modulus:
         raise ShapeError(f"moduli differ: {hz.modulus} vs {hx.modulus}")
@@ -179,8 +191,6 @@ def qudit_ebits(hz: ModMatrix, hx: ModMatrix) -> int:
     z_columns = [_pack(column, width) for column in zip(*hz._entries)]
     half = [_unpack(sum(map(mul, row, z_columns)), m, width) for row in hx._entries]
     omega = [[(a - b) % d for a, b in zip(row, column)] for row, column in zip(half, zip(*half))]
-    if any((a + b) % d for row, column in zip(omega, zip(*omega)) for a, b in zip(row, column)):
-        raise InternalInvariantError("qudit product matrix is not antisymmetric")
     r = mod_rank(ModMatrix(omega, d, m))
     if r % 2:
         raise InternalInvariantError(f"qudit product matrix has odd rank {r}")

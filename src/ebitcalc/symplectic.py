@@ -21,7 +21,6 @@ __all__ = [
     "SgsopResult",
     "CodeParameters",
     "symplectic_product_table",
-    "symplectic_product_matrix",
     "ebit_count",
     "symplectic_gram_schmidt",
     "sgsop",
@@ -105,8 +104,8 @@ class QuantumCheckMatrix(namedtuple("QuantumCheckMatrix", "hz hx")):
 def symplectic_product_table(hz: BinMatrix, hx: BinMatrix) -> BinMatrix:
     """Pairwise symplectic products of raw (Z | X) rows.
 
-    Unlike :func:`symplectic_product_matrix` this accepts any matching
-    pair, including dependent or all-zero rows.
+    Accepts any matching pair, including dependent or all-zero rows.  The
+    result is symmetric with zero diagonal, hence of even rank.
     """
     if (hz.rows, hz.cols) != (hx.rows, hx.cols):
         raise ShapeError("Z and X parts must have identical shape")
@@ -116,21 +115,13 @@ def symplectic_product_table(hz: BinMatrix, hx: BinMatrix) -> BinMatrix:
     return half + half.transpose()
 
 
-def symplectic_product_matrix(h: QuantumCheckMatrix) -> BinMatrix:
-    """The generators-by-generators matrix of symplectic products.
-
-    Symmetric with zero diagonal by construction, hence of even rank.
-    """
-    return symplectic_product_table(h.hz, h.hx)
-
-
 def ebit_count(h: QuantumCheckMatrix) -> int:
     """Minimum number of ebits the generator set consumes.
 
     Half the rank of the pairwise product matrix; the rank is provably
     even, and an odd value raises rather than truncating.
     """
-    r = rank(symplectic_product_matrix(h))
+    r = rank(symplectic_product_table(h.hz, h.hx))
     if r % 2:
         raise InternalInvariantError(f"pairwise product matrix has odd rank {r}")
     return r // 2

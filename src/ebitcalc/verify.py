@@ -247,26 +247,31 @@ def verify_code(h: QuantumCheckMatrix) -> VerificationReport:
     """Replay the ebit count by formula, by pairing procedure, and (for
     at most 20 generators) by span enumeration.
 
-    The procedure's transform T and output H' pass two checks made of
-    XORs and popcounts alone, and a failure raises: row i of H' must be
-    the XOR of the input rows that row i of T picks (T H = H'), and the
-    products of H' must be the c pairs' anticommuting blocks, then zeros.
+    The procedure's m x m transform T and output H' pass three checks
+    made of XORs and popcounts alone, and a failure raises: row i of H'
+    must be the XOR of the input rows that row i of T picks (T H = H'),
+    each row of T must bring in exactly one column that no earlier row
+    has, as every row the procedure builds does, and the products of H'
+    must be the c pairs' anticommuting blocks, then zeros.
 
-    That proves the count c with no elimination.  H has m independent
-    rows, checked by its constructor, and so has H', built by the same
-    constructor; T H = H' then gives rank T >= m.  So T is invertible,
-    H and H' span the same rows, Omega' = T Omega T^t, and
+    That proves the count c with no elimination.  With its columns
+    ordered by first appearance T is unit lower-triangular, so
+    invertible; H and H' span the same rows, Omega' = T Omega T^t, and
     rank Omega = rank Omega' = 2c.
     """
     formula = ebit_count(h)
     result = symplectic_gram_schmidt(h)
     procedure = result.ebits
 
+    m = h.generators
+    if (result.transform.rows, result.transform.cols) != (m, m):
+        raise InternalInvariantError(f"transform is not {m} x {m}")
     stacked = h.stacked()
-    inputs = [stacked.row_bits(i) for i in range(h.generators)]
+    inputs = [stacked.row_bits(i) for i in range(m)]
+    masks = [result.transform.row_bits(i) for i in range(m)]
     replayed = []
-    for i in range(result.transform.rows):
-        mask, row = result.transform.row_bits(i), 0
+    for mask in masks:
+        row = 0
         while mask:
             low = mask & -mask
             row ^= inputs[low.bit_length() - 1]
@@ -274,16 +279,21 @@ def verify_code(h: QuantumCheckMatrix) -> VerificationReport:
         replayed.append(row)
     if BinMatrix(len(replayed), stacked.cols, replayed) != result.transformed.stacked():
         raise InternalInvariantError("transform does not reproduce the output rows")
+    seen = 0
+    for i, mask in enumerate(masks):
+        if (mask & ~seen).bit_count() != 1:
+            raise InternalInvariantError(f"transform row {i} brings in no single new column")
+        seen |= mask
     products = product_matrix_by_popcount(result.transformed)
     paired = [1 << (i ^ 1) for i in range(2 * procedure)]
-    paired += [0] * (h.generators - 2 * procedure)
+    paired += [0] * (m - 2 * procedure)
     if [products.row_bits(i) for i in range(products.rows)] != paired:
         raise InternalInvariantError(
             "transformed products deviate from the paired standard form"
         )
 
     oracle = None
-    if h.generators <= 20:
+    if m <= 20:
         r = rank_by_span_enumeration(product_matrix_by_popcount(h))
         if r % 2:
             raise InternalInvariantError(f"enumerated product rank {r} is odd")

@@ -14,6 +14,7 @@ from ebitcalc import (
     LaurentCheckMatrix,
     LaurentMatrix,
     ModMatrix,
+    QuantumCheckMatrix,
     RealCheckMatrix,
     css_construct,
     css_ebits,
@@ -23,7 +24,7 @@ from ebitcalc import (
     ebit_count,
     gf4_ebits,
     gf4_rank,
-    gf4_to_binary,
+    gf4_symplectic_rows,
     laurent_rank,
     mod_rank,
     qudit_ebits,
@@ -31,7 +32,7 @@ from ebitcalc import (
     rational_rank,
     shifted_symplectic_matrix,
     symplectic_gram_schmidt,
-    symplectic_product_matrix,
+    symplectic_product_table,
 )
 from ebitcalc.formats import parse_conv_pair
 from ebitcalc.laurent import LaurentPoly
@@ -84,7 +85,7 @@ def test_criterion_2_formula_equals_procedure():
         c = ebit_count(h)
         assert result.ebits == c
         m = h.generators
-        assert symplectic_product_matrix(result.transformed) == BinMatrix(
+        assert symplectic_product_table(*result.transformed) == BinMatrix(
             m, m, [1 << (i ^ 1) if i < 2 * c else 0 for i in range(m)]
         )
     elapsed = time.perf_counter() - start
@@ -122,8 +123,8 @@ def test_criterion_5_gf4_consistency():
         cols = rng.randint(1, 10)
         rows = rng.randint(1, min(6, cols))
         h = random_gf4_matrix(rng, rows, cols, full_row_rank=True)
-        q = gf4_to_binary(h)
-        assert rank(symplectic_product_matrix(q)) == 2 * gf4_rank(h @ h.conj_transpose())
+        q = QuantumCheckMatrix(*gf4_symplectic_rows(h))
+        assert rank(symplectic_product_table(*q)) == 2 * gf4_rank(h @ h.conj().transpose())
         assert gf4_ebits(h) == ebit_count(q)
     _pass(5, "200 quaternary imports: expanded product rank is twice rank(H H†)")
 

@@ -22,9 +22,7 @@ from ebitcalc import (
     gf4_parameters,
     gf4_rank,
     gf4_symplectic_rows,
-    gf4_to_binary,
     rank,
-    symplectic_product_matrix,
     symplectic_product_table,
 )
 from ebitcalc.verify import gf4_rank_by_span_enumeration, random_full_rank_matrix
@@ -56,7 +54,7 @@ def test_css_construct_steane():
     assert h.generators == 6
     assert h.n == 7
     # dual-containing import: everything commutes
-    assert symplectic_product_matrix(h) == BinMatrix.zeros(6, 6)
+    assert symplectic_product_table(*h) == BinMatrix.zeros(6, 6)
 
 
 def test_css_construct_shape_mismatch():
@@ -117,7 +115,7 @@ def test_import_parameters_equal_those_of_the_imported_set(rng, n, data):
     h2 = random_full_rank_matrix(rng, data.draw(rows), n)
     assert css_parameters(h1, h2) == code_parameters(css_construct(h1, h2))
     h = random_gf4_matrix(rng, data.draw(rows), n, full_row_rank=True)
-    assert gf4_parameters(h) == code_parameters(gf4_to_binary(h))
+    assert gf4_parameters(h) == code_parameters(QuantumCheckMatrix(*gf4_symplectic_rows(h)))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -130,25 +128,25 @@ def test_dual_containing_needs_no_ebits(seed):
 
 
 def test_gamma_map_of_one():
-    q = gf4_to_binary(GF4Matrix.from_strings(["1"]))
+    q = QuantumCheckMatrix(*gf4_symplectic_rows(GF4Matrix.from_strings(["1"])))
     assert (q.hz.to_strings(), q.hx.to_strings()) == (["0", "1"], ["1", "0"])
 
 
 def test_gamma_map_of_omega():
-    q = gf4_to_binary(GF4Matrix.from_strings(["w"]))
+    q = QuantumCheckMatrix(*gf4_symplectic_rows(GF4Matrix.from_strings(["w"])))
     assert (q.hz.to_strings(), q.hx.to_strings()) == (["1", "1"], ["0", "1"])
 
 
 def test_gamma_map_two_columns():
-    q = gf4_to_binary(GF4Matrix.from_strings(["01"]))
+    q = QuantumCheckMatrix(*gf4_symplectic_rows(GF4Matrix.from_strings(["01"])))
     assert (q.hz.to_strings(), q.hx.to_strings()) == (["00", "01"], ["01", "00"])
 
 
-def test_gf4_to_binary_dependent_rows():
+def test_gf4_expansion_of_dependent_rows():
     # rows [w] and [v] are GF(4)-proportional, so the expansion collapses
     m = GF4Matrix.from_strings(["w", "v"])
     with pytest.raises(DependentRowsError):
-        gf4_to_binary(m)
+        QuantumCheckMatrix(*gf4_symplectic_rows(m))
     reduced = QuantumCheckMatrix.reduced(*gf4_symplectic_rows(m))
     assert reduced.generators == 2
 
@@ -161,11 +159,11 @@ def test_gf4_ebits_examples():
 def test_gf4_ebits_two_by_four():
     # hand computation: H @ H† is the 2x2 identity, rank 2
     m = GF4Matrix.from_strings(["10w1", "01vw"])
-    product = m @ m.conj_transpose()
+    product = m @ m.conj().transpose()
     assert product == GF4Matrix.identity(2)
     assert gf4_rank_by_span_enumeration(product) == 2
     assert gf4_ebits(m) == 2
-    assert gf4_ebits(m) == ebit_count(gf4_to_binary(m))
+    assert gf4_ebits(m) == ebit_count(QuantumCheckMatrix(*gf4_symplectic_rows(m)))
 
 
 def test_gf4_parameters_examples():
@@ -182,7 +180,7 @@ def test_expansion_rank_identity(seed):
     m = random_gf4_matrix(rng, rng.randint(1, 5), rng.randint(1, 8))
     hz, hx = gf4_symplectic_rows(m)
     omega = symplectic_product_table(hz, hx)
-    assert rank(omega) == 2 * gf4_rank(m @ m.conj_transpose())
+    assert rank(omega) == 2 * gf4_rank(m @ m.conj().transpose())
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -190,7 +188,7 @@ def test_gf4_count_matches_expansion(seed):
     rng = random.Random(800 + seed)
     cols = rng.randint(2, 8)
     m = random_gf4_matrix(rng, rng.randint(1, min(4, cols)), cols, full_row_rank=True)
-    assert gf4_ebits(m) == ebit_count(gf4_to_binary(m))
+    assert gf4_ebits(m) == ebit_count(QuantumCheckMatrix(*gf4_symplectic_rows(m)))
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -193,6 +193,23 @@ def test_qudit_large_modulus_counts_exactly(capsys, tmp_path):
     assert out.strip() == "edits: 1"
 
 
+def test_qudit_modulus_beyond_int64_counts_exactly(capsys, tmp_path):
+    data = tmp_path / "m64.qcheckd"
+    data.write_text("qcheckd 18446744073709551557 1 1\n1 | 0\n")  # 2^64 - 59, a prime
+    assert run(capsys, "qudit", str(data)) == (EXIT_OK, "edits: 0\n", "")
+
+
+def test_qudit_modulus_cap_is_domain_error(capsys, tmp_path):
+    data = tmp_path / "psi13.qcheckd"
+    data.write_text("qcheckd 3317044064679887385961981 1 1\n1 | 0\n")
+    code, out, err = run(capsys, "qudit", str(data))
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == (
+        "error: modulus 3317044064679887385961981 is not below the cap of "
+        "3317044064679887385961981, from which on the primality test is not a proof\n"
+    )
+
+
 def test_cv_command_with_tolerance(capsys):
     code, out, _ = run(capsys, "cv", str(DATA / "pair.cvcheck"))
     assert code == EXIT_OK

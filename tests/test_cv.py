@@ -49,7 +49,7 @@ def test_shape_mismatch_rejected():
 def test_tolerance_outside_unit_interval_rejected(tolerance):
     # at 1 or more no pivot clears the threshold, so every rank would be 0
     with pytest.raises(ValueError, match="nonnegative number below 1"):
-        RealCheckMatrix([[1.0]], [[0.0]], tolerance)
+        cv_ebit_count(RealCheckMatrix([[1.0]], [[0.0]]), tolerance)
     # unchecked, 1.0 reads the identity as rank 0, and a negative tolerance
     # reads the rank-1 all-ones matrix as rank 2
     for a in (np.eye(2), np.ones((2, 2))):
@@ -57,22 +57,21 @@ def test_tolerance_outside_unit_interval_rejected(tolerance):
             numerical_rank(a, tolerance)
 
 
-def test_equality_compares_shape_entries_and_tolerance():
+def test_equality_compares_shape_and_entries():
     a = RealCheckMatrix([[1, 0]], [[0, 1]])
     assert a == RealCheckMatrix([[1.0, 0.0]], [[0.0, 1.0]])
     assert not a != RealCheckMatrix([[1, 0]], [[0, 1]])
     assert a != RealCheckMatrix([[1, 0]], [[0, 2]])
-    assert a != RealCheckMatrix([[1, 0]], [[0, 1]], tolerance=0.5)
     assert a != RealCheckMatrix([[1], [0]], [[0], [1]])  # same entries, other shape
     assert a != RealCheckMatrix(np.zeros((0, 2)), np.zeros((0, 2)))
-    assert a != (a.hz, a.hx, a.tolerance)
+    assert a != (a.hz, a.hx)
     with pytest.raises(TypeError):
         hash(a)
 
 
 def test_tolerance_just_below_one_still_counts():
-    h = RealCheckMatrix([[1.0], [0.0]], [[0.0], [1.0]], tolerance=0.999)
-    assert cv_ebit_count(h) == 1
+    h = RealCheckMatrix([[1.0], [0.0]], [[0.0], [1.0]])
+    assert cv_ebit_count(h, 0.999) == 1
 
 
 def test_tolerance_is_relative_to_largest_entry():
@@ -82,7 +81,7 @@ def test_tolerance_is_relative_to_largest_entry():
     hz = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, eps], [0.0, 0.0]])
     hx = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, eps]])
     assert cv_ebit_count(RealCheckMatrix(hz, hx)) == 1
-    assert cv_ebit_count(RealCheckMatrix(hz, hx, tolerance=1e-16)) == 2
+    assert cv_ebit_count(RealCheckMatrix(hz, hx), 1e-16) == 2
 
 
 def test_numerical_rank_plain_cases():

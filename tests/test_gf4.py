@@ -15,8 +15,8 @@ from ebitcalc import (
     ShapeError,
     gf4_mul,
     gf4_rank,
+    QuantumCheckMatrix,
     gf4_symplectic_rows,
-    gf4_to_binary,
     rank,
     symplectic_product_table,
 )
@@ -64,15 +64,6 @@ def test_matrix_string_round_trip():
     assert m.entry(1, 2) == OMEGA_BAR
 
 
-def test_conj_transpose():
-    m = GF4Matrix.from_strings(["0w", "v1"])
-    assert m.conj_transpose() == GF4Matrix.from_strings(["0w", "v1"]).conj().transpose()
-    assert m.conj_transpose() == GF4Matrix.from_strings(["0w", "v1"])  # happens to be Hermitian
-    assert GF4Matrix.from_strings(["w1"]).conj_transpose() == GF4Matrix.from_strings(
-        ["v", "1"]
-    )
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_matmul_matches_scalar_loop(seed):
     rng = random.Random(seed)
@@ -107,7 +98,11 @@ def test_expansion_and_oracle_use_neither_regular_form_nor_product(monkeypatch):
     # The expansion certifies the quaternary formula, and the enumeration
     # oracle certifies gf4_rank, so neither may share the formula's code.
     m = GF4Matrix.from_strings(["10w1", "01vw", "wv11"])
-    expected = (gf4_symplectic_rows(m), gf4_to_binary(m), gf4_rank_by_span_enumeration(m))
+    expected = (
+        gf4_symplectic_rows(m),
+        QuantumCheckMatrix(*gf4_symplectic_rows(m)),
+        gf4_rank_by_span_enumeration(m),
+    )
 
     def refuse(*args):
         raise AssertionError("the GF(4) product path was called")
@@ -118,7 +113,7 @@ def test_expansion_and_oracle_use_neither_regular_form_nor_product(monkeypatch):
         gf4_rank(m)
     assert (
         gf4_symplectic_rows(m),
-        gf4_to_binary(m),
+        QuantumCheckMatrix(*gf4_symplectic_rows(m)),
         gf4_rank_by_span_enumeration(m),
     ) == expected
 
@@ -252,7 +247,7 @@ def test_hermitian_rank_is_half_the_binary_rank_property(h):
     # The paper's quaternary corollary: rank over GF(4) of H H-dagger is
     # half the GF(2) rank of the symplectic products of the expansion.
     z, x = gf4_symplectic_rows(h)
-    assert 2 * gf4_rank(h @ h.conj_transpose()) == rank(symplectic_product_table(z, x))
+    assert 2 * gf4_rank(h @ h.conj().transpose()) == rank(symplectic_product_table(z, x))
 
 
 @settings(derandomize=True, max_examples=150)

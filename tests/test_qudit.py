@@ -76,9 +76,33 @@ def test_large_prime_modulus_is_fast():
     assert m.modulus == 2**61 - 1
 
 
-def test_modulus_beyond_int64_rejected():
-    with pytest.raises(UnsupportedModulusError, match="int64"):
-        ModMatrix([[1]], 2**89 - 1)  # prime
+# psi_13 is the least number that passes Miller-Rabin to the first 13
+# prime bases without being prime, so below it the test is a proof.
+PSI_13 = 3317044064679887385961981
+
+
+def test_modulus_from_psi13_rejected():
+    assert PSI_13 == 1287836182261 * 2575672364521
+    for d in (PSI_13, PSI_13 + 1, 2**89 - 1):  # the last is prime
+        with pytest.raises(UnsupportedModulusError, match="not a proof"):
+            ModMatrix([[1]], d)
+    assert ModMatrix([[1]], 2**64 - 59).modulus == 2**64 - 59  # prime, above int64
+
+
+@pytest.mark.parametrize("value", [2.7, 2.0, "3"])
+def test_non_integer_entries_rejected(value):
+    with pytest.raises(ValueError, match=r"entry \(1,0\) is not an integer"):
+        ModMatrix([[1, 0], [value, 1]], 5)
+
+
+def test_non_integer_modulus_rejected():
+    with pytest.raises(UnsupportedModulusError, match="not an integer"):
+        ModMatrix([[1]], 7.0)
+
+
+def test_numpy_integer_entries_accepted():
+    m = ModMatrix([[np.int64(8), np.int64(-1)]], np.int64(7))
+    assert (m.modulus, m.to_rows()) == (7, [[1, 6]])
 
 
 def _python_rank(rows, d):
@@ -116,7 +140,7 @@ def test_large_modulus_products_do_not_wrap():
 
 
 # 3037000493 is the largest prime with (d-1)^2 in int64, so one product fits
-# int64 and a sum of two does not; 2**63 - 25 is the largest prime under the cap.
+# int64 and a sum of two does not; 2**63 - 25 is the largest prime in int64.
 @pytest.mark.parametrize("d", [3037000493, 2**61 - 1, 2**63 - 25])
 @pytest.mark.parametrize("seed", range(6))
 def test_large_modulus_agrees_with_python_ints(d, seed):

@@ -70,9 +70,8 @@ def test_replace_runs_the_constructor_checks():
         QuantumCheckMatrix(ONE, ZERO)._replace(hz=ZERO)
     with pytest.raises(ShapeError):
         RECORDS["LaurentCheckMatrix"]()._replace(hx=LaurentMatrix.zeros(1, 3))
-    with pytest.raises(ValueError, match="below 1"):
-        RECORDS["RealCheckMatrix"]()._replace(tolerance=1.0)
-    assert RECORDS["RealCheckMatrix"]()._replace(tolerance=0.5).tolerance == 0.5
+    with pytest.raises(ShapeError):
+        RECORDS["RealCheckMatrix"]()._replace(hx=[[0.0, 1.0]])
 
 
 def test_quantum_check_runs_in_post_init(monkeypatch):

@@ -20,7 +20,6 @@ from ebitcalc import (
     row_reduce,
     sgsop,
     symplectic_gram_schmidt,
-    symplectic_product_matrix,
     symplectic_product_table,
 )
 from ebitcalc.formats import format_qcheck, parse_qcheck
@@ -47,7 +46,7 @@ def _three_row_example():
 
 def test_single_qubit_pair_product_matrix():
     h = _single_qubit_pair()
-    assert symplectic_product_matrix(h).to_rows() == [[0, 1], [1, 0]]
+    assert symplectic_product_table(*h).to_rows() == [[0, 1], [1, 0]]
     assert ebit_count(h) == 1
 
 
@@ -61,13 +60,13 @@ def test_five_qubit_code_commutes():
     h = QuantumCheckMatrix.from_pauli_strings(FIVE_QUBIT)
     # the oracle's popcount products, independent of matmul
     assert product_matrix_by_popcount(h) == BinMatrix.zeros(4, 4)
-    assert symplectic_product_matrix(h) == BinMatrix.zeros(4, 4)
+    assert symplectic_product_table(*h) == BinMatrix.zeros(4, 4)
     assert ebit_count(h) == 0
 
 
 def test_three_row_example_counts():
     h = _three_row_example()
-    omega = symplectic_product_matrix(h)
+    omega = symplectic_product_table(*h)
     assert omega.to_rows() == [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
     assert rank_by_span_enumeration(omega) == 2
     assert ebit_count(h) == 1
@@ -87,7 +86,7 @@ def test_sgsop_commuting_set_is_all_isotropic():
     assert result.pairs == ()
     assert result.isotropic == (0, 1, 2, 3)
     assert result.ebits == 0
-    assert symplectic_product_matrix(result.transformed) == BinMatrix.zeros(4, 4)
+    assert symplectic_product_table(*result.transformed) == BinMatrix.zeros(4, 4)
 
 
 def test_sgsop_three_row_example_trace():
@@ -99,7 +98,7 @@ def test_sgsop_three_row_example_trace():
     assert result.transformed.hz.to_strings() == ["00", "10", "01"]
     assert result.transformed.hx.to_strings() == ["10", "00", "00"]
     assert result.transform.to_strings() == ["100", "010", "011"]
-    assert symplectic_product_matrix(result.transformed) == BinMatrix(3, 3, [0b10, 0b01, 0])
+    assert symplectic_product_table(*result.transformed) == BinMatrix(3, 3, [0b10, 0b01, 0])
 
 
 def test_code_parameters_examples():
@@ -182,14 +181,14 @@ def test_procedure_matches_formula(seed):
     assert rank(result.transform) == h.generators
     # exact paired standard form
     m = h.generators
-    assert symplectic_product_matrix(result.transformed) == BinMatrix(
+    assert symplectic_product_table(*result.transformed) == BinMatrix(
         m, m, [1 << (i ^ 1) if i < 2 * c else 0 for i in range(m)]
     )
     # conjugation identity for the product matrix
     g = result.transform
     assert (
-        g @ symplectic_product_matrix(h) @ g.transpose()
-        == symplectic_product_matrix(result.transformed)
+        g @ symplectic_product_table(*h) @ g.transpose()
+        == symplectic_product_table(*result.transformed)
     )
     # row space is preserved (reduced echelon forms are canonical)
     assert (
@@ -203,7 +202,7 @@ def test_product_matrix_symmetric_zero_diagonal(seed):
     rng = random.Random(2000 + seed)
     n = rng.randint(1, 10)
     h = random_check_matrix(rng, n, rng.randint(1, 2 * n))
-    omega = symplectic_product_matrix(h)
+    omega = symplectic_product_table(*h)
     assert omega == omega.transpose()
     assert all(omega.entry(i, i) == 0 for i in range(h.generators))
     assert rank(omega) % 2 == 0

@@ -377,6 +377,25 @@ def test_verify_rejects_a_doctored_pairing(monkeypatch, tamper, message):
         _verify_with_pairing(monkeypatch, h, tamper)
 
 
+def _repeat_last_isotropic_row(result):
+    # T H = H' and the standard form still hold, but T is singular; the
+    # constructor, which would find H' dependent, is bypassed
+    order = [*range(result.transform.rows - 1), result.transform.rows - 2]
+    hz, hx = result.transformed
+    rows = (_permute_rows(hz, order), _permute_rows(hx, order))
+    return result._replace(
+        transform=_permute_rows(result.transform, order),
+        transformed=tuple.__new__(QuantumCheckMatrix, rows),
+    )
+
+
+def test_verify_rejects_a_singular_transform(monkeypatch):
+    h = random_check_matrix(random.Random(31), 8, 10)
+    assert h.generators - 2 * ebit_count(h) == 2  # two isotropic rows
+    with pytest.raises(InternalInvariantError, match="no single new column"):
+        _verify_with_pairing(monkeypatch, h, _repeat_last_isotropic_row)
+
+
 @pytest.mark.parametrize("n, generators", [(256, 192), (10, 16)])
 def test_verify_code_runs_none_of_the_formula_kernels(monkeypatch, n, generators):
     h = random_check_matrix(random.Random(generators), n, generators)
