@@ -33,7 +33,6 @@ _EXPORTS = {
         "SgsopResult",
         "code_parameters",
         "ebit_count",
-        "sgsop",
         "symplectic_gram_schmidt",
         "symplectic_product_table",
     ),
@@ -46,9 +45,8 @@ _EXPORTS = {
         "gf4_symplectic_rows",
     ),
     "qudit": ("ModMatrix", "mod_rank", "qudit_ebits"),
-    "cv": ("DEFAULT_TOLERANCE", "RealCheckMatrix", "cv_ebit_count", "numerical_rank"),
+    "cv": ("DEFAULT_TOLERANCE", "cv_ebit_count", "numerical_rank"),
     "laurent": (
-        "LaurentCheckMatrix",
         "LaurentMatrix",
         "LaurentPoly",
         "MAX_EXPONENT",

@@ -246,14 +246,15 @@ def _cmd_qudit(args) -> dict:
     ),
 )
 def _cmd_cv(args) -> dict:
-    from .cv import DEFAULT_TOLERANCE, RealCheckMatrix, cv_ebit_count
+    from .cv import DEFAULT_TOLERANCE, cv_ebit_count
 
     tol = DEFAULT_TOLERANCE if args.tol is None else args.tol
     if not 0 <= tol < 1:
         raise _UsageError(f"--tol must be a nonnegative number below 1, got {tol}")
-    h = RealCheckMatrix(*formats.parse_cvcheck(_read(args.file)))
-    c = cv_ebit_count(h, tol)
-    return _count("entangled modes", c, h.n, h.generators, tolerance=tol)
+    hz, hx = formats.parse_cvcheck(_read(args.file))
+    c = cv_ebit_count(hz, hx, tol)
+    generators, n = hz.shape
+    return _count("entangled modes", c, n, generators, tolerance=tol)
 
 
 @_command(
@@ -264,9 +265,9 @@ def _cmd_cv(args) -> dict:
 def _cmd_conv(args) -> dict:
     from .laurent import conv_ebits
 
-    h = formats.parse_conv_pair(_read(args.file))
-    c = conv_ebits(h)
-    return _count("ebits per frame", c, h.n, h.generators, conjectured=True)
+    hz, hx = formats.parse_conv_pair(_read(args.file))
+    c = conv_ebits(hz, hx)
+    return _count("ebits per frame", c, hz.cols, hz.rows, conjectured=True)
 
 
 @_command(

@@ -7,59 +7,13 @@ numerical rank counts the entangled modes the set consumes.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 import numpy as np
 
 from .errors import InternalInvariantError, NonFiniteEntryError, ShapeError
 
-__all__ = ["DEFAULT_TOLERANCE", "RealCheckMatrix", "cv_ebit_count", "numerical_rank"]
+__all__ = ["DEFAULT_TOLERANCE", "cv_ebit_count", "numerical_rank"]
 
 DEFAULT_TOLERANCE = 1e-10
-
-
-class RealCheckMatrix(namedtuple("RealCheckMatrix", "hz hx")):
-    """Real-valued (Z part, X part) pair.
-
-    Two records are equal when their parts have the same shape and
-    entries; the arrays make a record unhashable.
-    """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
-
-    def __new__(cls, hz, hx):
-        hz = np.array(hz, dtype=np.float64)
-        hx = np.array(hx, dtype=np.float64)
-        if hz.ndim != 2 or hx.ndim != 2:
-            raise ShapeError("Z and X parts must be 2-D")
-        if hz.shape != hx.shape:
-            raise ShapeError("Z and X parts must have identical shape")
-        if not (np.isfinite(hz).all() and np.isfinite(hx).all()):
-            raise NonFiniteEntryError("check matrix entries must be finite")
-        hz.setflags(write=False)
-        hx.setflags(write=False)
-        return super().__new__(cls, hz, hx)
-
-    # The tuple versions compare the arrays elementwise, whose truth value
-    # is ambiguous beyond 1x1.
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RealCheckMatrix)
-            and np.array_equal(self.hz, other.hz)
-            and np.array_equal(self.hx, other.hx)
-        )
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    @property
-    def n(self) -> int:
-        return self.hz.shape[1]
-
-    @property
-    def generators(self) -> int:
-        return self.hz.shape[0]
 
 
 def numerical_rank(a: np.ndarray, relative_tolerance: float) -> int:
@@ -96,15 +50,27 @@ def numerical_rank(a: np.ndarray, relative_tolerance: float) -> int:
     return min(nrows, ncols)
 
 
-def cv_ebit_count(h: RealCheckMatrix, tolerance: float = DEFAULT_TOLERANCE) -> int:
-    """Entangled modes consumed by a real generator set.
+def cv_ebit_count(
+    hz: np.typing.ArrayLike, hx: np.typing.ArrayLike, tolerance: float = DEFAULT_TOLERANCE
+) -> int:
+    """Entangled modes consumed by a real generator set (HZ | HX).
 
-    ``tolerance`` decides the rank as in :func:`numerical_rank`.  The
-    product matrix half - half^T is exactly antisymmetric in floating
-    point, as fl(a - b) = -fl(b - a); an overflow raises.
+    The parts are read as float64 arrays, which must be 2-D, of one
+    shape, and finite.  ``tolerance`` decides the rank as in
+    :func:`numerical_rank`.  The product matrix half - half^T is exactly
+    antisymmetric in floating point, as fl(a - b) = -fl(b - a); an
+    overflow raises.
     """
+    hz = np.asarray(hz, dtype=np.float64)
+    hx = np.asarray(hx, dtype=np.float64)
+    if hz.ndim != 2 or hx.ndim != 2:
+        raise ShapeError("Z and X parts must be 2-D")
+    if hz.shape != hx.shape:
+        raise ShapeError("Z and X parts must have identical shape")
+    if not (np.isfinite(hz).all() and np.isfinite(hx).all()):
+        raise NonFiniteEntryError("check matrix entries must be finite")
     with np.errstate(all="ignore"):
-        half = h.hx @ h.hz.T
+        half = hx @ hz.T
         omega = half - half.T
     if not np.isfinite(omega).all():
         raise NonFiniteEntryError("real product matrix overflowed the float64 range")

@@ -18,7 +18,7 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .gf4 import GF4Matrix
-    from .laurent import LaurentCheckMatrix, LaurentMatrix, LaurentPoly
+    from .laurent import LaurentMatrix, LaurentPoly
     from .qudit import ModMatrix
 
 __all__ = [
@@ -285,19 +285,16 @@ def _polys(
     return _fields(chunk, width, number, "polynomial entries", read, sep=",")
 
 
-def parse_conv_pair(text: str) -> LaurentCheckMatrix:
+def parse_conv_pair(text: str) -> tuple[LaurentMatrix, LaurentMatrix]:
     """Convolutional generator set: ``conv <generators> <n>``.
 
     Each row holds n comma-separated polynomials for the Z block, a
     literal ``|``, then n for the X block.
     """
-    from .laurent import LaurentCheckMatrix, LaurentMatrix
+    from .laurent import LaurentMatrix
 
     (_, n), z_rows, x_rows = _generator_rows(text, "conv", 2, _polys)
-    return LaurentCheckMatrix(
-        LaurentMatrix(z_rows, cols=n),
-        LaurentMatrix(x_rows, cols=n),
-    )
+    return LaurentMatrix(z_rows, cols=n), LaurentMatrix(x_rows, cols=n)
 
 
 def parse_conv_plain(text: str, tag: str = "conv") -> LaurentMatrix:

@@ -13,8 +13,8 @@ so.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
+from operator import index
 
 from .errors import DegreeLimitError, InternalInvariantError, OddRankError, ShapeError
 
@@ -22,7 +22,6 @@ __all__ = [
     "MAX_EXPONENT",
     "LaurentPoly",
     "LaurentMatrix",
-    "LaurentCheckMatrix",
     "shifted_symplectic_matrix",
     "laurent_rank",
     "conv_ebits",
@@ -68,6 +67,11 @@ class LaurentPoly:
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         """Sum of ``(exponent, coeff)`` terms; repeated exponents add."""
         items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        try:
+            items = [(index(e), index(c)) for e, c in items]
+        except TypeError:
+            bad = next(t for t in items if not all(hasattr(v, "__index__") for v in t))
+            raise ValueError(f"term {bad!r} has a non-integer exponent or coefficient") from None
         base = min((exponent for exponent, _ in items), default=0)
         top = max((exponent for exponent, _ in items), default=0)
         if base < -MAX_EXPONENT or top > MAX_EXPONENT:
@@ -207,6 +211,8 @@ class LaurentMatrix:
         grid = tuple(tuple(row) for row in entries)
         if cols is None:
             cols = len(grid[0]) if grid else 0
+        if cols < 0:
+            raise ShapeError("matrix dimensions must be nonnegative")
         for i, row in enumerate(grid):
             if len(row) != cols:
                 raise ShapeError(f"row {i} has {len(row)} entries, expected {cols}")
@@ -239,30 +245,6 @@ class LaurentMatrix:
 
     def __str__(self) -> str:
         return "\n".join(", ".join(str(p) for p in row) for row in self._entries)
-
-
-class LaurentCheckMatrix(namedtuple("LaurentCheckMatrix", "hz hx")):
-    """Convolutional generator set as a (Z part, X part) pair per frame.
-
-    Generators need not commute frame-to-frame; no independence
-    condition is imposed.
-    """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
-
-    def __new__(cls, hz: LaurentMatrix, hx: LaurentMatrix):
-        if (hz.rows, hz.cols) != (hx.rows, hx.cols):
-            raise ShapeError("Z and X parts must have identical shape")
-        return super().__new__(cls, hz, hx)
-
-    @property
-    def n(self) -> int:
-        return self.hz.cols
-
-    @property
-    def generators(self) -> int:
-        return self.hz.rows
 
 
 def _aligned(rows: Sequence[Sequence[LaurentPoly]]) -> tuple[int, list[list]]:
@@ -304,22 +286,19 @@ def _gram(
     return LaurentMatrix(grid, cols=len(right))
 
 
-def shifted_symplectic_matrix(h: LaurentCheckMatrix) -> LaurentMatrix:
+def shifted_symplectic_matrix(hz: LaurentMatrix, hx: LaurentMatrix) -> LaurentMatrix:
     """Pairwise products with the partner row evaluated at D^-1.
 
-    The result satisfies M(D) == M^T(D^-1) entrywise, the shifted
-    analogue of symmetry; that identity is verified on every call.
+    The (i, j) entry is the product of row i of (HX | HZ) with row j of
+    (HZ | HX) at D^-1, so the result satisfies M(D) == M^T(D^-1)
+    entrywise, the shifted analogue of symmetry, by construction.
     """
-    hz, hx = h.hz._entries, h.hx._entries
-    omega = _gram([x + z for x, z in zip(hx, hz)], [z + x for z, x in zip(hz, hx)])
-    e = omega._entries
-    for i in range(omega.rows):
-        for j in range(i, omega.rows):
-            if e[i][j] != e[j][i].subs_inverse():
-                raise InternalInvariantError(
-                    "shifted product matrix lost shifted symmetry"
-                )
-    return omega
+    if (hz.rows, hz.cols) != (hx.rows, hx.cols):
+        raise ShapeError("Z and X parts must have identical shape")
+    z_rows, x_rows = hz._entries, hx._entries
+    return _gram(
+        [x + z for x, z in zip(x_rows, z_rows)], [z + x for z, x in zip(z_rows, x_rows)]
+    )
 
 
 def _exact_quotient(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -399,7 +378,7 @@ def laurent_rank(m: LaurentMatrix) -> int:
     return rank
 
 
-def conv_ebits(h: LaurentCheckMatrix) -> int:
+def conv_ebits(hz: LaurentMatrix, hx: LaurentMatrix) -> int:
     """Conjectured ebits per frame for a convolutional generator set.
 
     Half the rational-function rank of the shifted product matrix.  Unlike
@@ -407,7 +386,7 @@ def conv_ebits(h: LaurentCheckMatrix) -> int:
     entries (the row ``1 | D`` gives D + D^-1), so its rank may be odd;
     an odd rank raises :class:`OddRankError` rather than truncating.
     """
-    r = laurent_rank(shifted_symplectic_matrix(h))
+    r = laurent_rank(shifted_symplectic_matrix(hz, hx))
     if r % 2:
         raise OddRankError(
             f"shifted product matrix has odd rank {r}, so the conjectured "

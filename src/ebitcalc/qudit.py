@@ -113,6 +113,8 @@ class ModMatrix:
             raise
         if cols is None:
             cols = len(grid[0]) if grid else 0
+        if cols < 0:
+            raise ShapeError("matrix dimensions must be nonnegative")
         if any(len(row) != cols for row in grid):
             raise ShapeError(f"ModMatrix rows need {cols} entries each")
         self._entries = grid

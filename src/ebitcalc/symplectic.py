@@ -23,7 +23,6 @@ __all__ = [
     "symplectic_product_table",
     "ebit_count",
     "symplectic_gram_schmidt",
-    "sgsop",
     "code_parameters",
 ]
 
@@ -220,9 +219,6 @@ def symplectic_gram_schmidt(h: QuantumCheckMatrix) -> SgsopResult:
         isotropic=tuple(range(done, m)),
         ebits=len(pairs),
     )
-
-
-sgsop = symplectic_gram_schmidt
 
 
 class CodeParameters(

@@ -11,11 +11,9 @@ import numpy as np
 
 from ebitcalc import (
     BinMatrix,
-    LaurentCheckMatrix,
     LaurentMatrix,
     ModMatrix,
     QuantumCheckMatrix,
-    RealCheckMatrix,
     css_construct,
     css_ebits,
     css_parameters,
@@ -54,8 +52,8 @@ def _pass(criterion, message):
 
 def test_criterion_1_golden_convolutional_example():
     start = time.perf_counter()
-    h = parse_conv_pair((DATA / "conv5x5.conv").read_text())
-    omega = shifted_symplectic_matrix(h)
+    hz, hx = parse_conv_pair((DATA / "conv5x5.conv").read_text())
+    omega = shifted_symplectic_matrix(hz, hx)
     expected = constant_laurent(
         BinMatrix.from_rows(
             [
@@ -69,7 +67,7 @@ def test_criterion_1_golden_convolutional_example():
     )
     assert omega == expected
     assert laurent_rank(omega) == 4
-    assert conv_ebits(h) == 2
+    assert conv_ebits(hz, hx) == 2
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.3f} s"
     _pass(1, f"5x5 golden example: exact product matrix, rank 4, 2 ebits ({elapsed:.3f} s)")
@@ -172,8 +170,7 @@ def test_criterion_7_cv_agreement():
         ]
         exact = rational_rank(omega_exact)
         assert exact % 2 == 0
-        h = RealCheckMatrix(hz, hx)
-        assert cv_ebit_count(h) == exact // 2
+        assert cv_ebit_count(hz, hx) == exact // 2
     _pass(7, "200 integer-entry real sets match exact rational elimination at default tolerance")
 
 
@@ -188,7 +185,7 @@ def _random_laurent_set(rng):
 
     hz = LaurentMatrix([[poly() for _ in range(n)] for _ in range(generators)])
     hx = LaurentMatrix([[poly() for _ in range(n)] for _ in range(generators)])
-    return LaurentCheckMatrix(hz, hx)
+    return hz, hx
 
 
 def test_criterion_8_evaluation_bound():
@@ -196,7 +193,7 @@ def test_criterion_8_evaluation_bound():
     equal = 0
     total = 200
     for _ in range(total):
-        omega = shifted_symplectic_matrix(_random_laurent_set(rng))
+        omega = shifted_symplectic_matrix(*_random_laurent_set(rng))
         symbolic = laurent_rank(omega)
         evaluated = laurent_rank_by_evaluation(omega, trials=5, rng=rng)
         assert evaluated <= symbolic, "evaluation exceeded the symbolic rank"
@@ -211,6 +208,5 @@ def test_criterion_9_constant_entry_degeneration():
     for _ in range(200):
         n = rng.randint(1, 8)
         h = random_check_matrix(rng, n, rng.randint(1, 2 * n))
-        lifted = LaurentCheckMatrix(constant_laurent(h.hz), constant_laurent(h.hx))
-        assert conv_ebits(lifted) == ebit_count(h)
+        assert conv_ebits(constant_laurent(h.hz), constant_laurent(h.hx)) == ebit_count(h)
     _pass(9, "200 constant-entry convolutional counts equal the binary block counts")

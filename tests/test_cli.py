@@ -795,6 +795,16 @@ def test_cv_overflow_is_named_without_warnings(tmp_path, text, code, stream, exp
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+def test_cv_non_finite_entry_is_a_domain_error(capsys, tmp_path, entry):
+    path = tmp_path / "bad.cvcheck"
+    path.write_text(f"cvcheck 2 1\n{entry} | 0\n0 | 1\n")
+    code, out, err = run(capsys, "cv", str(path))
+    assert code == EXIT_DOMAIN == 3
+    assert out == ""
+    assert err == "error: check matrix entries must be finite\n"
+
+
 # Every command with fixtures of its input kind.
 FUZZ_COMMANDS = [
     ("ebits", "fivequbit.qcheck"),

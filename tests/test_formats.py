@@ -209,7 +209,7 @@ def test_poly_token_errors():
 
 
 def test_conv_pair_round_trip():
-    h = parse_conv_pair((DATA / "conv5x5.conv").read_text())
+    hz, hx = parse_conv_pair((DATA / "conv5x5.conv").read_text())
     # the fixture as LaurentPoly.__str__ writes it, spaced differently
     text = """conv 5 5
     0,0,0,0,0 | 1+D,0,D,1,1+D
@@ -218,9 +218,9 @@ def test_conv_pair_round_trip():
     0,D^-1,1,D^-1,0 | 0,0,0,0,0
     0,D^-1,0,0,0 | 0,0,1,0,0
     """
-    assert parse_conv_pair(text) == h
-    assert [str(h.hx.entry(0, j)) for j in range(5)] == ["1+D", "0", "D", "1", "1+D"]
-    assert h.generators == 5 and h.n == 5
+    assert parse_conv_pair(text) == (hz, hx)
+    assert [str(hx.entry(0, j)) for j in range(5)] == ["1+D", "0", "D", "1", "1+D"]
+    assert (hz.rows, hz.cols) == (hx.rows, hx.cols) == (5, 5)
 
 
 def test_conv_pair_requires_bar():

@@ -1,6 +1,7 @@
 """Tests for delay-polynomial matrices and the convolutional count formulas."""
 
 import random
+import re
 import time
 from pathlib import Path
 
@@ -13,7 +14,6 @@ from ebitcalc import (
     DegreeLimitError,
     GF4Matrix,
     InternalInvariantError,
-    LaurentCheckMatrix,
     LaurentMatrix,
     LaurentPoly,
     OddRankError,
@@ -49,7 +49,7 @@ SHIFTED_5X5_EXPECTED = BinMatrix.from_rows(
 )
 
 
-def _golden_pair() -> LaurentCheckMatrix:
+def _golden_pair() -> tuple[LaurentMatrix, LaurentMatrix]:
     return parse_conv_pair((DATA / "conv5x5.conv").read_text())
 
 
@@ -72,7 +72,7 @@ def _random_laurent_pair(rng, max_n=6, gf4=False):
     hx = LaurentMatrix(
         [[_random_poly(rng, gf4=gf4) for _ in range(n)] for _ in range(generators)]
     )
-    return LaurentCheckMatrix(hz, hx)
+    return hz, hx
 
 
 # -- arithmetic -------------------------------------------------------------
@@ -106,28 +106,27 @@ def test_gf4_coefficient_product():
 
 
 def test_shifted_product_of_golden_pair_is_the_constant_matrix():
-    omega = shifted_symplectic_matrix(_golden_pair())
+    omega = shifted_symplectic_matrix(*_golden_pair())
     assert omega == constant_laurent(SHIFTED_5X5_EXPECTED)
 
 
 def test_shifted_product_of_zero_matrix():
-    zero = LaurentCheckMatrix(LaurentMatrix.zeros(3, 2), LaurentMatrix.zeros(3, 2))
-    assert shifted_symplectic_matrix(zero) == LaurentMatrix.zeros(3, 3)
+    zero = LaurentMatrix.zeros(3, 2)
+    assert shifted_symplectic_matrix(zero, zero) == LaurentMatrix.zeros(3, 3)
 
 
 def test_shifted_product_constant_pair():
-    h = LaurentCheckMatrix(
+    omega = shifted_symplectic_matrix(
         constant_laurent(BinMatrix.from_strings(["1", "0"])),
         constant_laurent(BinMatrix.from_strings(["0", "1"])),
     )
-    omega = shifted_symplectic_matrix(h)
     assert omega == constant_laurent(BinMatrix.from_rows([[0, 1], [1, 0]]))
 
 
 @pytest.mark.parametrize("seed", range(15))
 def test_shifted_symmetry_invariant(seed):
     rng = random.Random(seed)
-    omega = shifted_symplectic_matrix(_random_laurent_pair(rng))
+    omega = shifted_symplectic_matrix(*_random_laurent_pair(rng))
     assert all(
         omega.entry(i, j) == omega.entry(j, i).subs_inverse()
         for i in range(omega.rows)
@@ -159,39 +158,35 @@ def test_rank_nonzero_diagonal():
 
 
 def test_rank_of_golden_shifted_matrix_is_four():
-    assert laurent_rank(shifted_symplectic_matrix(_golden_pair())) == 4
+    assert laurent_rank(shifted_symplectic_matrix(*_golden_pair())) == 4
 
 
 def test_conv_ebits_golden_pair():
-    assert conv_ebits(_golden_pair()) == 2
+    assert conv_ebits(*_golden_pair()) == 2
 
 
 def test_conv_ebits_commuting_per_frame():
     # pure-Z rows commute with themselves frame to frame
     hz = LaurentMatrix([[ONE_PLUS_D, parse_poly("D^-2")]])
     hx = LaurentMatrix.zeros(1, 2)
-    assert conv_ebits(LaurentCheckMatrix(hz, hx)) == 0
+    assert conv_ebits(hz, hx) == 0
 
 
 def test_conv_ebits_constant_pair():
-    h = LaurentCheckMatrix(
-        constant_laurent(BinMatrix.from_strings(["1", "0"])),
-        constant_laurent(BinMatrix.from_strings(["0", "1"])),
-    )
-    assert conv_ebits(h) == 1
+    hz = constant_laurent(BinMatrix.from_strings(["1", "0"]))
+    hx = constant_laurent(BinMatrix.from_strings(["0", "1"]))
+    assert conv_ebits(hz, hx) == 1
 
 
 def test_conv_ebits_odd_shifted_rank_is_a_domain_error():
     # The row 1 | D has the diagonal product D + D^-1, so the shifted
     # product matrix has rank 1: a fact about the input, not a broken
     # invariant, and no whole number of ebits per frame.
-    h = LaurentCheckMatrix(
-        LaurentMatrix([[parse_poly("1")]]),
-        LaurentMatrix([[parse_poly("D")]]),
-    )
-    assert laurent_rank(shifted_symplectic_matrix(h)) == 1
+    hz = LaurentMatrix([[parse_poly("1")]])
+    hx = LaurentMatrix([[parse_poly("D")]])
+    assert laurent_rank(shifted_symplectic_matrix(hz, hx)) == 1
     with pytest.raises(OddRankError, match="odd rank 1") as caught:
-        conv_ebits(h)
+        conv_ebits(hz, hx)
     assert not isinstance(caught.value, InternalInvariantError)
 
 
@@ -239,8 +234,7 @@ def test_constant_entries_degenerate_to_binary_count(seed):
     rng = random.Random(600 + seed)
     n = rng.randint(1, 8)
     h = random_check_matrix(rng, n, rng.randint(1, 2 * n))
-    lifted = LaurentCheckMatrix(constant_laurent(h.hz), constant_laurent(h.hx))
-    assert conv_ebits(lifted) == ebit_count(h)
+    assert conv_ebits(constant_laurent(h.hz), constant_laurent(h.hx)) == ebit_count(h)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -253,7 +247,7 @@ def test_constant_gf4_degenerates_to_block_count(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_evaluation_never_exceeds_symbolic_rank(seed):
     rng = random.Random(40 + seed)
-    omega = shifted_symplectic_matrix(_random_laurent_pair(rng))
+    omega = shifted_symplectic_matrix(*_random_laurent_pair(rng))
     symbolic = laurent_rank(omega)
     evaluated = laurent_rank_by_evaluation(omega, trials=5, rng=rng)
     assert evaluated <= symbolic
@@ -269,8 +263,26 @@ def test_degree_limit_enforced():
 
 
 def test_check_matrix_shape_mismatch():
+    for count in (shifted_symplectic_matrix, conv_ebits):
+        for hx in (LaurentMatrix.zeros(2, 3), LaurentMatrix.zeros(3, 2)):
+            with pytest.raises(ShapeError, match="Z and X parts must have identical shape"):
+                count(LaurentMatrix.zeros(2, 2), hx)
+
+
+def test_negative_column_count_rejected():
     with pytest.raises(ShapeError):
-        LaurentCheckMatrix(LaurentMatrix.zeros(2, 2), LaurentMatrix.zeros(2, 3))
+        LaurentMatrix([], -2)
+
+
+@pytest.mark.parametrize("term", [(1.5, 1), (1, 1.0), ("1", 1), (None, 1)])
+def test_non_integer_term_rejected(term):
+    with pytest.raises(ValueError, match=re.escape(f"term {term!r}")):
+        LaurentPoly([term])
+
+
+def test_integer_like_terms_accepted():
+    # bool is an int subclass, so True reads as 1, as it does in ModMatrix
+    assert LaurentPoly([(True, True)]) == LaurentPoly([(1, 1)])
 
 
 # -- properties of the packed representation ---------------------------------
@@ -554,9 +566,9 @@ def _mixed_conv_text(rng, pairs: int, n: int, max_exp: int, moves: int) -> str:
 
 @pytest.mark.parametrize("seed", range(3))
 def test_rank_ten_conv_set_time_bound(seed):
-    h = parse_conv_pair(_mixed_conv_text(random.Random(seed), 5, 8, 10, 1500))
+    hz, hx = parse_conv_pair(_mixed_conv_text(random.Random(seed), 5, 8, 10, 1500))
     start = time.perf_counter()
-    assert conv_ebits(h) == 5
+    assert conv_ebits(hz, hx) == 5
     assert time.perf_counter() - start < 1.0
 
 

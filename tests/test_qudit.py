@@ -190,6 +190,11 @@ def test_shape_and_modulus_mismatch():
         ModMatrix([[1]], 3, 2)
 
 
+def test_negative_column_count_rejected():
+    with pytest.raises(ShapeError):
+        ModMatrix([], 3, -1)
+
+
 def test_entries_reduced_mod_d():
     m = ModMatrix([[5, -1]], 3)
     assert (m.entry(0, 0), m.entry(0, 1)) == (2, 2)

@@ -18,7 +18,6 @@ from ebitcalc import (
     ebit_count,
     rank,
     row_reduce,
-    sgsop,
     symplectic_gram_schmidt,
     symplectic_product_table,
 )
@@ -73,7 +72,7 @@ def test_three_row_example_counts():
 
 
 def test_sgsop_single_qubit_pair():
-    result = sgsop(_single_qubit_pair())
+    result = symplectic_gram_schmidt(_single_qubit_pair())
     assert result.transform == BinMatrix.identity(2)
     assert result.pairs == ((0, 1),)
     assert result.isotropic == ()
@@ -82,7 +81,7 @@ def test_sgsop_single_qubit_pair():
 
 def test_sgsop_commuting_set_is_all_isotropic():
     h = QuantumCheckMatrix.from_pauli_strings(FIVE_QUBIT)
-    result = sgsop(h)
+    result = symplectic_gram_schmidt(h)
     assert result.pairs == ()
     assert result.isotropic == (0, 1, 2, 3)
     assert result.ebits == 0
@@ -91,7 +90,7 @@ def test_sgsop_commuting_set_is_all_isotropic():
 
 def test_sgsop_three_row_example_trace():
     # hand trace: rows 0,1 pair up; row 2 gets row 1 added, leaving (01|00)
-    result = sgsop(_three_row_example())
+    result = symplectic_gram_schmidt(_three_row_example())
     assert result.ebits == 1
     assert result.pairs == ((0, 1),)
     assert result.isotropic == (2,)
@@ -162,7 +161,7 @@ def test_stacked_round_trip():
 def test_empty_generator_set():
     h = QuantumCheckMatrix(BinMatrix.zeros(0, 2), BinMatrix.zeros(0, 2))
     assert ebit_count(h) == 0
-    result = sgsop(h)
+    result = symplectic_gram_schmidt(h)
     assert result.pairs == () and result.isotropic == ()
     assert code_parameters(h).bracket() == "[[2, 2; 0]]"
 
