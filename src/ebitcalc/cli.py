@@ -25,6 +25,8 @@ if TYPE_CHECKING:
     from .gf2 import BinMatrix
     from .symplectic import CodeParameters, QuantumCheckMatrix
 
+__all__ = ["EXIT_OK", "EXIT_USAGE", "EXIT_PARSE", "EXIT_DOMAIN", "main"]
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
@@ -366,7 +368,7 @@ def _cmd_verify(args) -> dict:
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON object")
     common.add_argument(
@@ -388,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         payload = args.handler(args)

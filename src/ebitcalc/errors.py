@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the matrix classes' dimension check."""
 
 from __future__ import annotations
+
+from operator import index
 
 __all__ = [
     "EbitcalcError",
@@ -22,6 +24,13 @@ class EbitcalcError(Exception):
 
 class ShapeError(EbitcalcError, ValueError):
     """Operand dimensions (or moduli) are incompatible."""
+
+
+def _dimension(n: object) -> int:
+    """``n`` as an int, for the matrix classes; ``ShapeError`` unless a nonnegative integer."""
+    if not hasattr(n, "__index__") or index(n) < 0:
+        raise ShapeError(f"matrix dimensions must be nonnegative integers, got {n!r}")
+    return index(n)
 
 
 class DependentRowsError(EbitcalcError, ValueError):

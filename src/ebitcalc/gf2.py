@@ -18,8 +18,9 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
+from operator import index
 
-from .errors import ShapeError
+from .errors import ShapeError, _dimension
 
 __all__ = [
     "BinMatrix",
@@ -75,11 +76,15 @@ class BinMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows: int, cols: int, data: Iterable[int]):
-        if rows < 0 or cols < 0:
-            raise ShapeError("matrix dimensions must be nonnegative")
+        rows, cols = _dimension(rows), _dimension(cols)
         words = tuple(data)
         if len(words) != rows:
             raise ShapeError(f"expected {rows} packed rows, got {len(words)}")
+        try:
+            words = tuple(map(index, words))
+        except TypeError:
+            i = next(i for i, word in enumerate(words) if not hasattr(word, "__index__"))
+            raise ValueError(f"row {i} is not an integer: {words[i]!r}") from None
         for i, word in enumerate(words):
             if word < 0 or word.bit_length() > cols:
                 raise ShapeError(f"row {i} has bits outside {cols} columns")
@@ -101,9 +106,10 @@ class BinMatrix:
                 raise ShapeError(f"row {i} has {len(row)} entries, expected {cols}")
             word = 0
             for j, value in enumerate(row):
-                if value not in (0, 1):
+                bit = index(value) if hasattr(value, "__index__") else None
+                if bit not in (0, 1):
                     raise ValueError(f"entry ({i},{j}) is not a bit: {value!r}")
-                word |= value << j
+                word |= bit << j
             words.append(word)
         return cls(len(entries), cols, words)
 
@@ -121,14 +127,12 @@ class BinMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BinMatrix":
-        if rows < 0 or cols < 0:
-            raise ShapeError("matrix dimensions must be nonnegative")
+        rows, cols = _dimension(rows), _dimension(cols)
         return _make(rows, cols, (0,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "BinMatrix":
-        if n < 0:
-            raise ShapeError("matrix dimensions must be nonnegative")
+        n = _dimension(n)
         return _make(n, n, tuple(1 << i for i in range(n)))
 
     # -- element access -----------------------------------------------

@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from .errors import InternalInvariantError, ShapeError
 from .gf2 import BinMatrix, rank
 
-__all__ = ["gf4_mul", "GF4Matrix", "gf4_rank"]
+__all__ = ["gf4_mul", "check_symbols", "GF4Matrix", "gf4_rank"]
 
 # w*w = v, w*v = 1, v*v = w
 _MUL = (

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from operator import index
 
-from .errors import DegreeLimitError, InternalInvariantError, OddRankError, ShapeError
+from .errors import DegreeLimitError, InternalInvariantError, OddRankError, ShapeError, _dimension
 
 __all__ = [
     "MAX_EXPONENT",
@@ -211,8 +211,7 @@ class LaurentMatrix:
         grid = tuple(tuple(row) for row in entries)
         if cols is None:
             cols = len(grid[0]) if grid else 0
-        if cols < 0:
-            raise ShapeError("matrix dimensions must be nonnegative")
+        cols = _dimension(cols)
         for i, row in enumerate(grid):
             if len(row) != cols:
                 raise ShapeError(f"row {i} has {len(row)} entries, expected {cols}")
@@ -222,6 +221,7 @@ class LaurentMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "LaurentMatrix":
+        rows, cols = _dimension(rows), _dimension(cols)
         zero = LaurentPoly.zero()
         return cls(tuple((zero,) * cols for _ in range(rows)), cols=cols)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from operator import index, mul
 
-from .errors import InternalInvariantError, ShapeError, UnsupportedModulusError
+from .errors import InternalInvariantError, ShapeError, UnsupportedModulusError, _dimension
 
 __all__ = ["ModMatrix", "mod_rank", "qudit_ebits"]
 
@@ -113,8 +113,7 @@ class ModMatrix:
             raise
         if cols is None:
             cols = len(grid[0]) if grid else 0
-        if cols < 0:
-            raise ShapeError("matrix dimensions must be nonnegative")
+        cols = _dimension(cols)
         if any(len(row) != cols for row in grid):
             raise ShapeError(f"ModMatrix rows need {cols} entries each")
         self._entries = grid

@@ -1,6 +1,8 @@
 """Matrices that several test files build: random draws and constant Laurent lifts."""
 
-from ebitcalc import BinMatrix, GF4Matrix, LaurentMatrix, LaurentPoly, gf4_rank
+from ebitcalc.gf2 import BinMatrix
+from ebitcalc.gf4 import GF4Matrix, gf4_rank
+from ebitcalc.laurent import LaurentMatrix, LaurentPoly
 
 
 def random_bin_matrix(rng, rows, cols):

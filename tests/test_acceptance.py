@@ -9,37 +9,38 @@ from pathlib import Path
 
 import numpy as np
 
-from ebitcalc import (
-    BinMatrix,
-    LaurentMatrix,
-    ModMatrix,
-    QuantumCheckMatrix,
+from ebitcalc.classical import (
     css_construct,
     css_ebits,
     css_parameters,
-    conv_ebits,
-    cv_ebit_count,
-    ebit_count,
     gf4_ebits,
-    gf4_rank,
     gf4_symplectic_rows,
+)
+from ebitcalc.cv import cv_ebit_count
+from ebitcalc.formats import parse_conv_pair
+from ebitcalc.gf2 import BinMatrix, rank
+from ebitcalc.gf4 import gf4_rank
+from ebitcalc.laurent import (
+    LaurentMatrix,
+    LaurentPoly,
+    conv_ebits,
     laurent_rank,
-    mod_rank,
-    qudit_ebits,
-    rank,
-    rational_rank,
     shifted_symplectic_matrix,
+)
+from ebitcalc.qudit import ModMatrix, mod_rank, qudit_ebits
+from ebitcalc.symplectic import (
+    QuantumCheckMatrix,
+    ebit_count,
     symplectic_gram_schmidt,
     symplectic_product_table,
 )
-from ebitcalc.formats import parse_conv_pair
-from ebitcalc.laurent import LaurentPoly
 from ebitcalc.verify import (
     gf4_rank_by_span_enumeration,
     laurent_rank_by_evaluation,
     random_check_matrix,
     random_full_rank_matrix,
     rank_by_span_enumeration,
+    rational_rank,
 )
 from helpers import constant_laurent, random_bin_matrix, random_gf4_matrix
 

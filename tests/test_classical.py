@@ -6,23 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebitcalc import (
-    BinMatrix,
-    DependentRowsError,
-    GF4Matrix,
-    QuantumCheckMatrix,
-    ShapeError,
-    code_parameters,
+from ebitcalc.classical import (
     css_construct,
     css_ebits,
     css_parameters,
-    ebit_count,
     gf4_ebits,
-    gf4_mul,
     gf4_parameters,
-    gf4_rank,
     gf4_symplectic_rows,
-    rank,
+)
+from ebitcalc.errors import DependentRowsError, ShapeError
+from ebitcalc.gf2 import BinMatrix, rank
+from ebitcalc.gf4 import GF4Matrix, gf4_mul, gf4_rank
+from ebitcalc.symplectic import (
+    QuantumCheckMatrix,
+    code_parameters,
+    ebit_count,
     symplectic_product_table,
 )
 from ebitcalc.verify import gf4_rank_by_span_enumeration, random_full_rank_matrix

@@ -18,6 +18,8 @@ from ebitcalc import symplectic, verify
 from ebitcalc.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 
 DATA = Path(__file__).parent / "data"
+# Child interpreters import this tree's sources, never an installed copy.
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
 
 CORE_KEYS = {"command", "n", "generators", "ebits", "logical", "ancillas", "conjectured"}
 
@@ -404,6 +406,7 @@ def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "ebitcalc", "conv", str(DATA / "conv5x5.conv")],
         capture_output=True,
+        env=CHILD_ENV,
         text=True,
     )
     assert result.returncode == 0
@@ -584,6 +587,7 @@ def test_binary_commands_do_not_import_numpy(tmp_path):
     result = subprocess.run(
         [sys.executable, "-c", script, "numpy", "dataclasses"],
         capture_output=True,
+        env=CHILD_ENV,
         text=True,
         check=True,
     )
@@ -593,7 +597,7 @@ def test_binary_commands_do_not_import_numpy(tmp_path):
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        env=CHILD_ENV,
     )
     assert result.stdout.splitlines()[-1] == f"{[0] * len(commands)} []"
 
@@ -621,7 +625,7 @@ def test_text_output_loads_neither_json_nor_a_codec():
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        env=CHILD_ENV,
     )
     assert result.stdout.splitlines()[-1] == f"{[0] * len(commands)} []"
 
@@ -640,7 +644,7 @@ def test_verify_does_not_import_laurent():
         "print(codes, 'ebitcalc.laurent' in sys.modules)\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=CHILD_ENV
     )
     assert result.stdout.splitlines()[-1] == f"{[0] * len(commands)} False"
 
@@ -660,6 +664,7 @@ def test_verify_file_check_loads_neither_gf4_nor_fractions():
     result = subprocess.run(
         [sys.executable, "-c", script, "ebitcalc.gf4", "fractions", "decimal", "array"],
         capture_output=True,
+        env=CHILD_ENV,
         text=True,
         check=True,
     )
@@ -704,6 +709,7 @@ def test_header_only_input_costs_nothing_per_column(tmp_path, argv):
     result = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
+        env=CHILD_ENV,
         text=True,
         check=True,
         timeout=60,
@@ -753,6 +759,7 @@ def test_far_exponent_is_rejected_before_it_is_stored(tmp_path, kind, body):
     result = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
+        env=CHILD_ENV,
         text=True,
         check=True,
         timeout=60,
@@ -786,6 +793,7 @@ def test_cv_overflow_is_named_without_warnings(tmp_path, text, code, stream, exp
     result = subprocess.run(
         [sys.executable, "-m", "ebitcalc", "cv", str(path)],
         capture_output=True,
+        env=CHILD_ENV,
         text=True,
         timeout=60,
     )

@@ -7,13 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ebitcalc import (
-    NonFiniteEntryError,
-    ShapeError,
-    cv_ebit_count,
-    numerical_rank,
-    rational_rank,
-)
+from ebitcalc.cv import cv_ebit_count, numerical_rank
+from ebitcalc.errors import NonFiniteEntryError, ShapeError
+from ebitcalc.verify import rational_rank
 
 
 def test_single_row_needs_nothing():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ebitcalc import BinMatrix, LaurentPoly, ParseError
+from ebitcalc.errors import ParseError
 from ebitcalc.formats import (
     format_qcheck,
     parse_conv_pair,
@@ -18,6 +18,8 @@ from ebitcalc.formats import (
     parse_qcheck,
     parse_qcheckd,
 )
+from ebitcalc.gf2 import BinMatrix
+from ebitcalc.laurent import LaurentPoly
 
 DATA = Path(__file__).parent / "data"
 

@@ -5,12 +5,20 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ebitcalc import BinMatrix, ShapeError, first_dependent_row, rank, row_reduce
-from ebitcalc.gf2 import bits_to_word, word_to_bits
+from ebitcalc.errors import ShapeError
+from ebitcalc.gf2 import (
+    BinMatrix,
+    bits_to_word,
+    first_dependent_row,
+    rank,
+    row_reduce,
+    word_to_bits,
+)
 from ebitcalc.verify import rank_by_span_enumeration
 from helpers import random_bin_matrix
 
@@ -255,6 +263,36 @@ def test_bad_entries_rejected():
     for build in (lambda: BinMatrix.zeros(-1, 2), lambda: BinMatrix.identity(-1)):
         with pytest.raises(ShapeError, match="nonnegative"):
             build()
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: BinMatrix.zeros(2, 1.5), ShapeError, "got 1.5"),
+        (lambda: BinMatrix(2, 1.5, [1, 0]), ShapeError, "got 1.5"),
+        (lambda: BinMatrix.identity("2"), ShapeError, "got '2'"),
+        (lambda: BinMatrix(2, 3, [0, 1.0]), ValueError, "row 1 is not an integer: 1.0"),
+        (lambda: BinMatrix(1, 3, ["1"]), ValueError, "row 0 is not an integer: '1'"),
+        (lambda: BinMatrix.from_rows([[0, 1.0]]), ValueError, r"entry \(0,1\) is not a bit: 1.0"),
+    ],
+    ids=["zeros-cols", "cols", "identity", "float-word", "str-word", "float-entry"],
+)
+def test_non_integer_dimensions_and_words_rejected(build, error, message):
+    # Each ended in AttributeError or TypeError, or built a matrix with a
+    # float column count that rank then miscounted.
+    with pytest.raises(error, match=message):
+        build()
+
+
+@pytest.mark.parametrize("integer", [int, np.int64, np.uint8, bool], ids=lambda t: t.__name__)
+def test_integer_like_dimensions_and_words_stored_as_ints(integer):
+    one = integer(1)
+    m = BinMatrix(one + one, 3 * one, [5 * one, one])
+    built = BinMatrix.from_rows([[one, 0, one], [one, 0, 0]])
+    assert m == built
+    words = [m.row_bits(0), m.row_bits(1), built.row_bits(0), built.row_bits(1)]
+    assert {type(v) for v in (m.rows, m.cols, *words)} == {int}
+    assert (rank(m), m.transpose().rows) == (2, 3)
 
 
 def test_bits_and_words_round_trip():

@@ -8,20 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ebitcalc import (
-    BinMatrix,
-    GF4Matrix,
-    InternalInvariantError,
-    ShapeError,
-    gf4_mul,
-    gf4_rank,
-    QuantumCheckMatrix,
-    gf4_symplectic_rows,
-    rank,
-    symplectic_product_table,
-)
 from ebitcalc import gf4
+from ebitcalc.classical import gf4_symplectic_rows
+from ebitcalc.errors import InternalInvariantError, ShapeError
 from ebitcalc.formats import parse_gf4
+from ebitcalc.gf2 import BinMatrix, rank
+from ebitcalc.gf4 import GF4Matrix, gf4_mul, gf4_rank
+from ebitcalc.symplectic import QuantumCheckMatrix, symplectic_product_table
 from ebitcalc.verify import gf4_rank_by_span_enumeration
 from helpers import random_gf4_matrix
 

@@ -5,32 +5,28 @@ import re
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ebitcalc import (
-    BinMatrix,
-    DegreeLimitError,
-    GF4Matrix,
-    InternalInvariantError,
+from ebitcalc.classical import gf4_ebits
+from ebitcalc.errors import DegreeLimitError, InternalInvariantError, OddRankError, ShapeError
+from ebitcalc.formats import parse_conv_pair, parse_poly
+from ebitcalc.gf2 import BinMatrix, rank
+from ebitcalc.gf4 import GF4Matrix, gf4_mul, gf4_rank
+from ebitcalc.laurent import (
     LaurentMatrix,
     LaurentPoly,
-    OddRankError,
-    ShapeError,
+    _exact_quotient,
+    _gram,
     conv_ebits,
     css_conv_ebits,
-    ebit_count,
     gf4_conv_ebits,
-    gf4_ebits,
-    gf4_mul,
-    gf4_rank,
     laurent_rank,
-    rank,
     shifted_symplectic_matrix,
 )
-from ebitcalc.formats import parse_conv_pair, parse_poly
-from ebitcalc.laurent import _exact_quotient, _gram
+from ebitcalc.symplectic import ebit_count
 from ebitcalc.verify import laurent_rank_by_evaluation, random_check_matrix
 from helpers import constant_laurent, random_gf4_matrix
 
@@ -272,6 +268,28 @@ def test_check_matrix_shape_mismatch():
 def test_negative_column_count_rejected():
     with pytest.raises(ShapeError):
         LaurentMatrix([], -2)
+
+
+@pytest.mark.parametrize(
+    "cols, expected",
+    [(np.int64(2), 2), (True, 1), (1.5, None), (2.0, None), ("2", None)],
+    ids=["numpy-int", "bool", "float", "integral-float", "str"],
+)
+def test_column_count_must_be_an_integer(cols, expected):
+    # A float count was accepted, and conv_ebits then returned 0.
+    for build in (lambda: LaurentMatrix([], cols=cols), lambda: LaurentMatrix.zeros(1, cols)):
+        if expected is None:
+            with pytest.raises(ShapeError, match="nonnegative integers"):
+                build()
+        else:
+            m = build()
+            assert (m.cols, type(m.cols)) == (expected, int)
+
+
+def test_zeros_rejects_a_negative_row_count():
+    # It built a 0 x 2 matrix.
+    with pytest.raises(ShapeError, match="nonnegative integers"):
+        LaurentMatrix.zeros(-1, 2)
 
 
 @pytest.mark.parametrize("term", [(1.5, 1), (1, 1.0), ("1", 1), (None, 1)])

@@ -8,17 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ebitcalc import (
-    BinMatrix,
-    ModMatrix,
-    ShapeError,
-    UnsupportedModulusError,
-    ebit_count,
-    mod_rank,
-    qudit_ebits,
-    rank,
-    symplectic_product_table,
-)
+from ebitcalc.errors import ShapeError, UnsupportedModulusError
+from ebitcalc.gf2 import BinMatrix, rank
+from ebitcalc.qudit import ModMatrix, mod_rank, qudit_ebits
+from ebitcalc.symplectic import ebit_count, symplectic_product_table
 from ebitcalc.verify import random_check_matrix
 
 
@@ -193,6 +186,20 @@ def test_shape_and_modulus_mismatch():
 def test_negative_column_count_rejected():
     with pytest.raises(ShapeError):
         ModMatrix([], 3, -1)
+
+
+@pytest.mark.parametrize(
+    "cols, expected",
+    [(np.int64(2), 2), (True, 1), (1.5, None), (2.0, None), ("2", None)],
+    ids=["numpy-int", "bool", "float", "integral-float", "str"],
+)
+def test_column_count_must_be_an_integer(cols, expected):
+    if expected is None:
+        with pytest.raises(ShapeError, match="nonnegative integers"):
+            ModMatrix([], 3, cols)
+    else:
+        m = ModMatrix([], 3, cols)
+        assert (m.cols, type(m.cols)) == (expected, int)
 
 
 def test_entries_reduced_mod_d():

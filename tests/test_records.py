@@ -8,16 +8,10 @@ the benchmark's tracer wraps by that name.
 
 import pytest
 
-from ebitcalc import (
-    BinMatrix,
-    CodeParameters,
-    DependentRowsError,
-    QuantumCheckMatrix,
-    RowReduction,
-    SgsopResult,
-    SweepResult,
-    VerificationReport,
-)
+from ebitcalc.errors import DependentRowsError
+from ebitcalc.gf2 import BinMatrix, RowReduction
+from ebitcalc.symplectic import CodeParameters, QuantumCheckMatrix, SgsopResult
+from ebitcalc.verify import SweepResult, VerificationReport
 
 ONE = BinMatrix.from_strings(["1"])
 ZERO = BinMatrix.from_strings(["0"])

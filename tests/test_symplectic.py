@@ -8,20 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ebitcalc import symplectic
-from ebitcalc import (
-    BinMatrix,
-    DependentRowsError,
-    ParseError,
+from ebitcalc.errors import DependentRowsError, ParseError, ShapeError
+from ebitcalc.formats import format_qcheck, parse_qcheck
+from ebitcalc.gf2 import BinMatrix, rank, row_reduce
+from ebitcalc.symplectic import (
     QuantumCheckMatrix,
-    ShapeError,
     code_parameters,
     ebit_count,
-    rank,
-    row_reduce,
     symplectic_gram_schmidt,
     symplectic_product_table,
 )
-from ebitcalc.formats import format_qcheck, parse_qcheck
 from ebitcalc.verify import (
     product_matrix_by_popcount,
     random_check_matrix,

@@ -7,21 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ebitcalc import (
-    BinMatrix,
-    GF4Matrix,
-    InternalInvariantError,
-    LaurentMatrix,
-    LaurentPoly,
-    MAX_EXPONENT,
-    QuantumCheckMatrix,
-    SizeLimitError,
-    ebit_count,
-    gf4_rank,
-    rank,
-    symplectic_gram_schmidt,
-)
 from ebitcalc import gf2, symplectic, verify
+from ebitcalc.errors import InternalInvariantError, SizeLimitError
+from ebitcalc.gf2 import BinMatrix, rank
+from ebitcalc.gf4 import GF4Matrix, gf4_rank
+from ebitcalc.laurent import LaurentMatrix, LaurentPoly, MAX_EXPONENT
+from ebitcalc.symplectic import QuantumCheckMatrix, ebit_count, symplectic_gram_schmidt
 from ebitcalc.verify import (
     DEFAULT_SEED,
     gf4_rank_by_span_enumeration,
