@@ -35,18 +35,19 @@ def numerical_rank(a: np.ndarray, relative_tolerance: float) -> int:
     reference = float(np.abs(work).max())
     if reference == 0.0:
         return 0
-    # A power-of-two scale is exact; it keeps the elimination's growth finite.
-    work = np.ldexp(work, -np.frexp(reference)[1])
-    threshold = relative_tolerance * float(np.abs(work).max())
+    # A power-of-two scale is exact: it keeps the elimination's growth finite,
+    # and the largest magnitude becomes the mantissa of `reference`.
+    mantissa, exponent = np.frexp(reference)
+    work = np.ldexp(work, -exponent)
+    threshold = relative_tolerance * float(mantissa)
     for r in range(min(nrows, ncols)):
-        sub = np.abs(work[r:, r:])
+        sub = np.abs(work)  # `work` is the trailing block still to be eliminated
         pi, pj = divmod(int(sub.argmax()), sub.shape[1])
         if sub[pi, pj] <= threshold:
             return r
-        work[[r, r + pi]] = work[[r + pi, r]]
-        work[:, [r, r + pj]] = work[:, [r + pj, r]]
-        below = work[r + 1 :, r:]
-        below -= np.outer(below[:, 0] / work[r, r], work[r, r:])
+        work[[0, pi]] = work[[pi, 0]]
+        work[:, [0, pj]] = work[:, [pj, 0]]
+        work = work[1:, 1:] - np.outer(work[1:, 0] / work[0, 0], work[0, 1:])
     return min(nrows, ncols)
 
 

@@ -198,16 +198,13 @@ def parse_qcheckd(text: str) -> tuple[ModMatrix, ModMatrix]:
     return ModMatrix(z_grid, d, n), ModMatrix(x_grid, d, n)
 
 
-def _real(token: str) -> float:
-    """``token`` as a float; ``float`` alone also takes ``1_0`` and non-ASCII digits."""
-    if not token.isascii() or "_" in token:
-        raise ValueError(token)
-    return float(token)
-
-
 def _reals(chunk: str, width: int, number: int, block: str) -> list[float]:
     where = f"in the {block} block"
-    return _fields(chunk, width, number, f"reals {where}", _real, f"invalid real {where}")
+    values = _fields(chunk, width, number, f"reals {where}", float, f"invalid real {where}")
+    # float alone also takes 1_0 and non-ASCII digits; non-ASCII spaces still separate
+    if "_" in chunk or not (chunk.isascii() or "".join(chunk.split()).isascii()):
+        raise ParseError(f"invalid real {where}", number)
+    return values
 
 
 def parse_cvcheck(text: str) -> tuple[np.ndarray, np.ndarray]:

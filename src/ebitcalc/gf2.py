@@ -95,25 +95,6 @@ class BinMatrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_rows(cls, entries: Sequence[Sequence[int]], cols: int | None = None) -> "BinMatrix":
-        """Build from nested sequences of 0/1 entries."""
-        entries = [list(row) for row in entries]
-        if cols is None:
-            cols = len(entries[0]) if entries else 0
-        words = []
-        for i, row in enumerate(entries):
-            if len(row) != cols:
-                raise ShapeError(f"row {i} has {len(row)} entries, expected {cols}")
-            word = 0
-            for j, value in enumerate(row):
-                bit = index(value) if hasattr(value, "__index__") else None
-                if bit not in (0, 1):
-                    raise ValueError(f"entry ({i},{j}) is not a bit: {value!r}")
-                word |= bit << j
-            words.append(word)
-        return cls(len(entries), cols, words)
-
-    @classmethod
     def from_strings(cls, lines: Sequence[str], cols: int | None = None) -> "BinMatrix":
         """Build from strings of '0'/'1' characters, one row per string."""
         if cols is None:

@@ -53,40 +53,31 @@ class GF4Matrix:
 
     __slots__ = ("lo", "hi")
 
-    def __init__(self, entries: Sequence[Sequence[int]]):
-        """Build from nested sequences of entries 0..3."""
-        rows = [list(row) for row in entries]
-        if not all(v in (0, 1, 2, 3) for row in rows for v in row):
-            raise ValueError("GF(4) entries must be in 0..3")
-        self.lo = BinMatrix.from_rows([[v & 1 for v in row] for row in rows])
-        self.hi = BinMatrix.from_rows([[v >> 1 for v in row] for row in rows])
-
-    @classmethod
-    def from_planes(cls, lo: BinMatrix, hi: BinMatrix) -> "GF4Matrix":
+    def __init__(self, lo: BinMatrix, hi: BinMatrix):
         """The matrix ``lo + w*hi``; both planes must have the same shape."""
+        if not (isinstance(lo, BinMatrix) and isinstance(hi, BinMatrix)):
+            raise TypeError("GF(4) planes must be BinMatrix values")
         if (lo.rows, lo.cols) != (hi.rows, hi.cols):
             raise ShapeError("GF(4) planes must have identical shape")
-        m = cls.__new__(cls)
-        m.lo, m.hi = lo, hi
-        return m
+        self.lo, self.hi = lo, hi
 
     @classmethod
     def from_strings(cls, lines: Sequence[str], cols: int | None = None) -> "GF4Matrix":
         """Build from strings over the alphabet 0, 1, w, v, one row per string."""
         for line in lines:
             check_symbols(line)
-        return cls.from_planes(
+        return cls(
             BinMatrix.from_strings([line.translate(_LO_DIGITS) for line in lines], cols),
             BinMatrix.from_strings([line.translate(_HI_DIGITS) for line in lines], cols),
         )
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "GF4Matrix":
-        return cls.from_planes(BinMatrix.zeros(rows, cols), BinMatrix.zeros(rows, cols))
+        return cls(BinMatrix.zeros(rows, cols), BinMatrix.zeros(rows, cols))
 
     @classmethod
     def identity(cls, n: int) -> "GF4Matrix":
-        return cls.from_planes(BinMatrix.identity(n), BinMatrix.zeros(n, n))
+        return cls(BinMatrix.identity(n), BinMatrix.zeros(n, n))
 
     @property
     def rows(self) -> int:
@@ -100,11 +91,11 @@ class GF4Matrix:
         return self.lo.entry(i, j) | self.hi.entry(i, j) << 1
 
     def transpose(self) -> "GF4Matrix":
-        return GF4Matrix.from_planes(self.lo.transpose(), self.hi.transpose())
+        return GF4Matrix(self.lo.transpose(), self.hi.transpose())
 
     def conj(self) -> "GF4Matrix":
         # conj(a + wb) = a + vb = (a + b) + wb
-        return GF4Matrix.from_planes(self.lo + self.hi, self.hi)
+        return GF4Matrix(self.lo + self.hi, self.hi)
 
     def __matmul__(self, other: "GF4Matrix") -> "GF4Matrix":
         if self.cols != other.rows:
@@ -114,7 +105,7 @@ class GF4Matrix:
         # Row i of the product is the sum over k of lo[i,k]*N[k] + hi[i,k]*(w*N[k]),
         # and the rows of R(N) are the rows N[k], then w*N[k], as lo | hi bits.
         product = self.lo.hstack(self.hi) @ _regular(other)
-        return GF4Matrix.from_planes(*product.hsplit(other.cols))
+        return GF4Matrix(*product.hsplit(other.cols))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GF4Matrix):

@@ -215,6 +215,9 @@ class LaurentMatrix:
         for i, row in enumerate(grid):
             if len(row) != cols:
                 raise ShapeError(f"row {i} has {len(row)} entries, expected {cols}")
+            for j, value in enumerate(row):
+                if not isinstance(value, LaurentPoly):
+                    raise ValueError(f"entry ({i},{j}) is not a LaurentPoly: {value!r}")
         self.rows = len(grid)
         self.cols = cols
         self._entries = grid

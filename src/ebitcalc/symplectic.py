@@ -26,7 +26,9 @@ __all__ = [
     "code_parameters",
 ]
 
-_PAULI_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
+# Each Pauli letter's Z part and X part as a binary digit.
+_Z_DIGITS = str.maketrans("IXZY", "0011")
+_X_DIGITS = str.maketrans("IXZY", "0101")
 _STRIP_PAULI = str.maketrans("", "", "IXZY")  # whatever survives is no Pauli letter
 
 
@@ -76,14 +78,14 @@ class QuantumCheckMatrix(namedtuple("QuantumCheckMatrix", "hz hx")):
     @classmethod
     def from_pauli_strings(cls, labels: Sequence[str]) -> "QuantumCheckMatrix":
         """Build from strings over I, X, Z, Y (one qubit per character)."""
-        z_rows, x_rows = [], []
         for label in labels:
             stray = label.translate(_STRIP_PAULI)
             if stray:
                 raise ParseError(f"invalid Pauli character {stray[0]!r} in label {label!r}")
-            z_rows.append([_PAULI_BITS[ch][0] for ch in label])
-            x_rows.append([_PAULI_BITS[ch][1] for ch in label])
-        return cls(BinMatrix.from_rows(z_rows), BinMatrix.from_rows(x_rows))
+        return cls(
+            BinMatrix.from_strings([label.translate(_Z_DIGITS) for label in labels]),
+            BinMatrix.from_strings([label.translate(_X_DIGITS) for label in labels]),
+        )
 
     @classmethod
     def reduced(cls, hz: BinMatrix, hx: BinMatrix) -> "QuantumCheckMatrix":

@@ -178,6 +178,9 @@ def test_cvcheck_parse():
     z, x = parse_cvcheck("cvcheck 1 2\n1.5 -2.0 | 0.25 3e-1\n")
     assert z.tolist() == [[1.5, -2.0]]
     assert x.tolist() == [[0.25, 0.3]]
+    # non-ASCII whitespace still separates reals, as it does residues
+    z, x = parse_cvcheck("cvcheck 1 2\n1.5\u2003-2 | 0\u00a01\n")
+    assert (z.tolist(), x.tolist()) == ([[1.5, -2.0]], [[0.0, 1.0]])
     with pytest.raises(ParseError, match="invalid real"):
         parse_cvcheck("cvcheck 1 1\nabc | 1.0\n")
     with pytest.raises(ParseError, match="expected 2 reals in the X block"):

@@ -48,7 +48,7 @@ def test_omega_relations():
 def test_conjugation_is_squaring():
     for a in ELEMENTS:
         assert CONJ[a] == gf4_mul(a, a)
-    assert GF4Matrix([ELEMENTS]).conj() == GF4Matrix([CONJ])
+    assert GF4Matrix.from_strings(["01wv"]).conj() == GF4Matrix.from_strings(["01vw"])
 
 
 def test_matrix_string_round_trip():
@@ -145,8 +145,8 @@ def test_rank_transpose_invariant(seed):
 
 
 def test_entries_validated():
-    with pytest.raises(ValueError):
-        GF4Matrix([[0, 4]])
+    with pytest.raises(ValueError, match="invalid GF\\(4\\) symbol '4'"):
+        GF4Matrix.from_strings(["04"])
 
 
 def test_rank_rejects_an_odd_binary_rank(monkeypatch):
@@ -154,7 +154,7 @@ def test_rank_rejects_an_odd_binary_rank(monkeypatch):
     # even; halving an odd one would silently truncate.
     monkeypatch.setattr(gf4, "rank", lambda m: 3)
     with pytest.raises(InternalInvariantError, match="rank 3"):
-        gf4_rank(GF4Matrix([[1, 2]]))
+        gf4_rank(GF4Matrix.from_strings(["1w"]))
 
 
 def test_rank_of_empty_rows_costs_nothing_per_column():
@@ -169,9 +169,16 @@ def test_planes_hold_the_coefficients_of_one_and_omega():
     m = GF4Matrix.from_strings(["01wv"])
     assert m.lo.to_strings() == ["0101"]
     assert m.hi.to_strings() == ["0011"]
-    assert GF4Matrix.from_planes(m.lo, m.hi) == m
-    with pytest.raises(ShapeError):
-        GF4Matrix.from_planes(m.lo, m.hi.transpose())
+    assert GF4Matrix(m.lo, m.hi) == m
+
+
+def test_constructor_takes_two_binary_planes_of_one_shape():
+    lo = BinMatrix.from_strings(["0101"])
+    with pytest.raises(ShapeError, match="identical shape"):
+        GF4Matrix(lo, lo.transpose())
+    for planes in ((lo, [[0, 0, 1, 1]]), ([[0, 1, 0, 1]], lo), ("0101", "0011")):
+        with pytest.raises(TypeError, match="BinMatrix"):
+            GF4Matrix(*planes)
 
 
 # -- properties of the two-plane representation ------------------------
@@ -181,10 +188,8 @@ def test_planes_hold_the_coefficients_of_one_and_omega():
 def gf4_matrices(draw, rows=None, max_side=6):
     rows = draw(st.integers(0, max_side)) if rows is None else rows
     cols = draw(st.integers(0, max_side))
-    if not rows:  # a grid with no rows carries no column count
-        return GF4Matrix.zeros(0, cols)
-    row = st.lists(st.integers(0, 3), min_size=cols, max_size=cols)
-    return GF4Matrix(draw(st.lists(row, min_size=rows, max_size=rows)))
+    line = st.text("01wv", min_size=cols, max_size=cols)
+    return GF4Matrix.from_strings(draw(st.lists(line, min_size=rows, max_size=rows)), cols)
 
 
 @st.composite
@@ -198,7 +203,7 @@ EDGE_SHAPES = [
     GF4Matrix.zeros(0, 4),
     GF4Matrix.zeros(4, 0),
     GF4Matrix.zeros(0, 0),
-    GF4Matrix([[OMEGA]]),
+    GF4Matrix.from_strings(["w"]),
 ]
 
 
@@ -213,7 +218,7 @@ def with_edge_shapes(test):
 @example((GF4Matrix.zeros(0, 3), GF4Matrix.zeros(3, 2)))
 @example((GF4Matrix.zeros(3, 0), GF4Matrix.zeros(0, 3)))
 @example((GF4Matrix.zeros(2, 3), GF4Matrix.zeros(3, 0)))
-@example((GF4Matrix([[OMEGA]]), GF4Matrix([[OMEGA_BAR]])))
+@example((GF4Matrix.from_strings(["w"]), GF4Matrix.from_strings(["v"])))
 def test_matmul_matches_scalar_loop_property(pair):
     a, b = pair
     product = a @ b

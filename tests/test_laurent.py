@@ -34,15 +34,7 @@ DATA = Path(__file__).parent / "data"
 
 ONE_PLUS_D = parse_poly("1+D")
 
-SHIFTED_5X5_EXPECTED = BinMatrix.from_rows(
-    [
-        [0, 1, 0, 0, 0],
-        [1, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 1],
-        [0, 0, 0, 1, 0],
-    ]
-)
+SHIFTED_5X5_EXPECTED = BinMatrix.from_strings(["01000", "10000", "00000", "00001", "00010"])
 
 
 def _golden_pair() -> tuple[LaurentMatrix, LaurentMatrix]:
@@ -116,7 +108,7 @@ def test_shifted_product_constant_pair():
         constant_laurent(BinMatrix.from_strings(["1", "0"])),
         constant_laurent(BinMatrix.from_strings(["0", "1"])),
     )
-    assert omega == constant_laurent(BinMatrix.from_rows([[0, 1], [1, 0]]))
+    assert omega == constant_laurent(BinMatrix.from_strings(["01", "10"]))
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -284,6 +276,14 @@ def test_column_count_must_be_an_integer(cols, expected):
         else:
             m = build()
             assert (m.cols, type(m.cols)) == (expected, int)
+
+
+@pytest.mark.parametrize("entry", [1, 0, None, "1+D", (0, 1)])
+def test_entries_must_be_delay_polynomials(entry):
+    # An int entry was accepted, and laurent_rank and conv_ebits then
+    # ended in AttributeError.
+    with pytest.raises(ValueError, match=re.escape(f"entry (0,1) is not a LaurentPoly: {entry!r}")):
+        LaurentMatrix([[LaurentPoly.one(), entry]])
 
 
 def test_zeros_rejects_a_negative_row_count():
@@ -459,25 +459,21 @@ def test_rank_equals_evaluation_oracle_property(m):
     assert r == laurent_rank_by_evaluation(m)
 
 
-def _constant_grids():
-    @st.composite
-    def build(draw):
-        rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
-        entry = st.integers(0, 3)
-        return rows, cols, [[draw(entry) for _ in range(cols)] for _ in range(rows)]
-
-    return build()
+@st.composite
+def _constant_grids(draw):
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    line = st.text("01wv", min_size=cols, max_size=cols)
+    return draw(st.lists(line, min_size=rows, max_size=rows)), cols
 
 
 @settings(derandomize=True, max_examples=200)
 @given(_constant_grids())
-@example((0, 3, []))
-@example((3, 0, [[], [], []]))
-@example((1, 1, [[2]]))
-@example((1, 1, [[1]]))
+@example(([], 3))
+@example((["", "", ""], 0))
+@example((["w"], 1))
+@example((["1"], 1))
 def test_constant_entries_give_the_block_ranks_property(shape):
-    rows, cols, grid = shape
-    m = GF4Matrix(grid) if rows else GF4Matrix.zeros(0, cols)
+    m = GF4Matrix.from_strings(*shape)
     assert laurent_rank(constant_laurent(m.lo)) == rank(m.lo)
     assert laurent_rank(constant_laurent(m)) == gf4_rank(m)
 

@@ -225,10 +225,9 @@ def test_mod_two_agrees_with_binary_count(seed):
 
 @st.composite
 def _binary_pairs(draw):
-    """(Z rows, X rows, n): any rows, dependent or zero ones included."""
+    """(Z rows, X rows, n) as digit strings: any rows, dependent or zero ones included."""
     n, m = draw(st.integers(0, 6)), draw(st.integers(0, 12))
-    row = st.lists(st.integers(0, 1), min_size=n, max_size=n)
-    block = st.lists(row, min_size=m, max_size=m)
+    block = st.lists(st.text("01", min_size=n, max_size=n), min_size=m, max_size=m)
     return draw(block), draw(block), n
 
 
@@ -236,14 +235,12 @@ def _binary_pairs(draw):
 @given(_binary_pairs())
 @example(([], [], 0))
 @example(([], [], 3))
-@example(([[], []], [[], []], 0))
-@example(([[1]], [[1]], 1))
+@example((["", ""], ["", ""], 0))
+@example((["1"], ["1"], 1))
 def test_mod_two_equals_binary_count_property(pair):
     z, x, n = pair
-    hz, hx = BinMatrix.from_rows(z, n), BinMatrix.from_rows(x, n)
-    qz, qx = (
-        ModMatrix(np.array(v, dtype=np.int64).reshape(len(v), n), 2) for v in (z, x)
-    )
+    hz, hx = BinMatrix.from_strings(z, n), BinMatrix.from_strings(x, n)
+    qz, qx = (ModMatrix([list(map(int, line)) for line in v], 2, n) for v in (z, x))
     assert 2 * qudit_ebits(qz, qx) == rank(symplectic_product_table(hz, hx))
 
 

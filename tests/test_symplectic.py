@@ -145,7 +145,7 @@ def test_pauli_strings_reject_unknown_characters(label, ch):
 
 
 def test_pauli_strings_reject_unequal_lengths():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="row 1 has 1 entries, expected 2"):
         QuantumCheckMatrix.from_pauli_strings(["XZ", "Y"])
 
 

@@ -27,20 +27,12 @@ from ebitcalc.verify import (
 )
 from helpers import constant_laurent, random_bin_matrix, random_gf4_matrix
 
-SHIFTED_5X5 = BinMatrix.from_rows(
-    [
-        [0, 1, 0, 0, 0],
-        [1, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 1],
-        [0, 0, 0, 1, 0],
-    ]
-)
+SHIFTED_5X5 = BinMatrix.from_strings(["01000", "10000", "00000", "00001", "00010"])
 
 
 def test_span_enumeration_examples():
     assert rank_by_span_enumeration(BinMatrix.identity(3)) == 3
-    assert rank_by_span_enumeration(BinMatrix.from_rows([[1, 1], [1, 1]])) == 1
+    assert rank_by_span_enumeration(BinMatrix.from_strings(["11", "11"])) == 1
     assert rank_by_span_enumeration(SHIFTED_5X5) == 4
     assert rank_by_span_enumeration(BinMatrix.zeros(0, 4)) == 0
 
@@ -100,7 +92,7 @@ def test_gf4_oracle_matches_elimination(seed):
     rng = random.Random(300 + seed)
 
     def factor(rows, cols, pad=0):
-        return GF4Matrix.from_planes(
+        return GF4Matrix(
             _padded_bits(rng, rows, cols, pad), _padded_bits(rng, rows, cols, pad)
         )
 
