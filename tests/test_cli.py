@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -862,3 +863,46 @@ def test_mutated_fixtures_exit_with_a_documented_code(capsys, tmp_path, command)
         code = main([name, *paths])
         capsys.readouterr()
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_DOMAIN), (name, case)
+
+
+# One matching fixture per command; the qcheck commands build a generator set.
+TRACED_COMMANDS = [
+    ("ebits", "fivequbit.qcheck"),
+    ("params", "fivequbit.qcheck"),
+    ("sgsop", "fivequbit.qcheck"),
+    ("css", "hamming74.gf2", "hamming74.gf2"),
+    ("gf4", "example.gf4"),
+    ("gf4-expand", "example.gf4"),
+    ("qudit", "pair3.qcheckd"),
+    ("cv", "pair.cvcheck"),
+    ("conv", "conv5x5.conv"),
+    ("conv4", "hd.conv4"),
+    ("conv-css", "h1mat.conv", "h2mat.conv"),
+    ("verify", "fivequbit.qcheck"),
+]
+
+
+def test_benchmark_tracer_sees_every_file_parse(capsys):
+    # bench/tracing.py wraps formats.parse_* wherever a module binds it, so
+    # a parser held anywhere else (a table built at import time, say)
+    # would parse untraced and the per-layer run would miss it.
+    path = Path(__file__).parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        codes = [
+            tracer.span("cli.main", call, main, [name, *(str(DATA / f) for f in files)])
+            for call, (name, *files) in enumerate(TRACED_COMMANDS)
+        ]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [EXIT_OK] * len(TRACED_COMMANDS)
+    for call, (name, *files) in enumerate(TRACED_COMMANDS):
+        spans = [s["name"] for s in tracer.to_records() if s["call"] == call]
+        assert spans.count("formats.parse") == len(files), name
+        if files[0].endswith(".qcheck"):
+            assert "symplectic.check" in spans, name
