@@ -536,6 +536,14 @@ def test_flags_a_command_ignores_are_usage_errors(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("flags", [("--json", "--quiet"), ("--quiet", "--json")])
+def test_json_with_quiet_is_a_usage_error(capsys, flags):
+    # like every flag a command cannot act on, and before the file is read
+    code, out, err = run(capsys, "ebits", "no-such-file.qcheck", *flags)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: --json and --quiet cannot be given together\n"
+
+
 def test_reduce_is_taken_where_it_acts(capsys):
     for argv in (
         ("params", str(DATA / "dependent.qcheck")),
@@ -865,23 +873,6 @@ def test_mutated_fixtures_exit_with_a_documented_code(capsys, tmp_path, command)
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_DOMAIN), (name, case)
 
 
-# One matching fixture per command; the qcheck commands build a generator set.
-TRACED_COMMANDS = [
-    ("ebits", "fivequbit.qcheck"),
-    ("params", "fivequbit.qcheck"),
-    ("sgsop", "fivequbit.qcheck"),
-    ("css", "hamming74.gf2", "hamming74.gf2"),
-    ("gf4", "example.gf4"),
-    ("gf4-expand", "example.gf4"),
-    ("qudit", "pair3.qcheckd"),
-    ("cv", "pair.cvcheck"),
-    ("conv", "conv5x5.conv"),
-    ("conv4", "hd.conv4"),
-    ("conv-css", "h1mat.conv", "h2mat.conv"),
-    ("verify", "fivequbit.qcheck"),
-]
-
-
 def test_benchmark_tracer_sees_every_file_parse(capsys):
     # bench/tracing.py wraps formats.parse_* wherever a module binds it, so
     # a parser held anywhere else (a table built at import time, say)
@@ -893,15 +884,12 @@ def test_benchmark_tracer_sees_every_file_parse(capsys):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        codes = [
+        for call, (name, *files) in enumerate(FUZZ_COMMANDS):
             tracer.span("cli.main", call, main, [name, *(str(DATA / f) for f in files)])
-            for call, (name, *files) in enumerate(TRACED_COMMANDS)
-        ]
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert codes == [EXIT_OK] * len(TRACED_COMMANDS)
-    for call, (name, *files) in enumerate(TRACED_COMMANDS):
+    for call, (name, *files) in enumerate(FUZZ_COMMANDS):
         spans = [s["name"] for s in tracer.to_records() if s["call"] == call]
         assert spans.count("formats.parse") == len(files), name
         if files[0].endswith(".qcheck"):
