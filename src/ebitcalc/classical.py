@@ -44,7 +44,7 @@ def css_ebits(h1: BinMatrix, h2: BinMatrix) -> int:
         raise ShapeError(
             f"parity checks have different lengths: {h1.cols} vs {h2.cols}"
         )
-    if not (h1.rows and h2.rows):  # an empty side's transpose has a row per column
+    if not (h1.rows and h2.rows):  # rank 0, without a transpose of a zero row per column
         return 0
     return rank(h1 @ h2.transpose())
 
@@ -69,12 +69,10 @@ def css_parameters(
 
 
 def gf4_symplectic_rows(h: GF4Matrix) -> tuple[BinMatrix, BinMatrix]:
-    """Raw binary (Z, X) expansion of the stacked [w*H; v*H] block.
+    """Binary (Z, X) expansion of the stacked [w*H; v*H] block.
 
-    The 2r binary rows are independent exactly when the r quaternary rows
-    are.  No generator-set validation happens here: ``QuantumCheckMatrix``
-    raises on a dependent input, and ``QuantumCheckMatrix.reduced`` drops
-    its dependent rows.
+    The 2r binary rows span a space of dimension twice the GF(4) rank of
+    H, so they are independent exactly when the r quaternary rows are.
     """
     # An entry x*w + z*v expands to the bit pair (Z, X) = (z, x).  With
     # a + wb = (a + b)w + av, a matrix lo + w*hi has Z = lo and X = lo + hi;
@@ -85,7 +83,7 @@ def gf4_symplectic_rows(h: GF4Matrix) -> tuple[BinMatrix, BinMatrix]:
 
 def gf4_ebits(h: GF4Matrix) -> int:
     """Ebits consumed by the quaternary import: rank over GF(4) of H @ H†."""
-    if not h.rows:  # H† would hold one empty row per column
+    if not h.rows:  # rank 0, without an H† of a zero row per column
         return 0
     return gf4_rank(h @ h.conj().transpose())
 

@@ -3,8 +3,9 @@
 Reads the text formats from :mod:`ebitcalc.formats`, runs the matching
 count formula, and prints either human-readable lines or one JSON
 object with stable field names.  Exit codes: 0 success, 1 usage error,
-2 parse error, 3 domain error (dependent rows, composite modulus,
-degree limit, and the like).
+2 parse error, 3 domain error (composite modulus, degree limit, and
+the like).  Dependent generator rows are no error: every count is that
+of the group the rows generate.
 
 Each command is one row of ``_COMMANDS``: its help text, its
 ``run(args, *inputs)``, which returns the JSON fields, the text lines
@@ -29,7 +30,6 @@ from .errors import EbitcalcError, InternalInvariantError, ParseError
 # module-level TYPE_CHECKING as true.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from .gf2 import BinMatrix
     from .symplectic import CodeParameters, QuantumCheckMatrix
 
 __all__ = ["EXIT_OK", "EXIT_USAGE", "EXIT_PARSE", "EXIT_DOMAIN", "main"]
@@ -61,26 +61,25 @@ def _read(path: str) -> str:
         raise ParseError(f"non-ASCII byte 0x{err.object[err.start]:02x} in {path}", line) from None
 
 
-def _generator_set(rows: tuple[BinMatrix, BinMatrix], reduce_rows: bool) -> QuantumCheckMatrix:
-    """The (Z, X) rows as a generator set; ``--reduce`` drops dependent rows
-    where the checked constructor would raise."""
+def _qcheck(text: str) -> QuantumCheckMatrix:
+    """A qcheck file's generator set, dependent rows included."""
     from .symplectic import QuantumCheckMatrix
 
-    return QuantumCheckMatrix.reduced(*rows) if reduce_rows else QuantumCheckMatrix(*rows)
+    return QuantumCheckMatrix(*formats.parse_qcheck(text))
 
 
 # File kind -> reader of its text; "conv" is the Z|X pair form.  Each
 # reader looks its parser up when it runs, so the benchmark's tracer,
 # which wraps module attributes, sees every parse.
 _READERS = {
-    "qcheck": lambda text, args: _generator_set(formats.parse_qcheck(text), args.reduce),
-    "gf2": lambda text, args: formats.parse_gf2(text),
-    "gf4": lambda text, args: formats.parse_gf4(text),
-    "qcheckd": lambda text, args: formats.parse_qcheckd(text),
-    "cvcheck": lambda text, args: formats.parse_cvcheck(text),
-    "conv": lambda text, args: formats.parse_conv_pair(text),
-    "conv-plain": lambda text, args: formats.parse_conv_plain(text, tag="conv"),
-    "conv4": lambda text, args: formats.parse_conv_plain(text, tag="conv4"),
+    "qcheck": _qcheck,
+    "gf2": lambda text: formats.parse_gf2(text),
+    "gf4": lambda text: formats.parse_gf4(text),
+    "qcheckd": lambda text: formats.parse_qcheckd(text),
+    "cvcheck": lambda text: formats.parse_cvcheck(text),
+    "conv": lambda text: formats.parse_conv_pair(text),
+    "conv-plain": lambda text: formats.parse_conv_plain(text, tag="conv"),
+    "conv4": lambda text: formats.parse_conv_plain(text, tag="conv4"),
 }
 
 # Every JSON object carries ``command``, ``conjectured`` and these counts,
@@ -165,10 +164,10 @@ def _gf4(args, h):
 def _gf4_expand(args, h):
     from .classical import gf4_symplectic_rows
 
-    q = _generator_set(gf4_symplectic_rows(h), args.reduce)
-    rendered = formats.format_qcheck(q.hz, q.hx).rstrip("\n")
+    hz, hx = gf4_symplectic_rows(h)
+    rendered = formats.format_qcheck(hz, hx).rstrip("\n")
     lines = rendered.split("\n")
-    return dict(n=q.n, generators=q.generators, check_matrix=lines[1:]), lines, rendered
+    return dict(n=hz.cols, generators=hz.rows, check_matrix=lines[1:]), lines, rendered
 
 
 def _qudit(args, rows):
@@ -220,8 +219,6 @@ def _check_verify(args) -> None:
             raise _UsageError("--max-n and --seed apply to --random, not to a file")
     elif args.max_n is None:
         raise _UsageError("--random needs --max-n")
-    elif args.reduce:
-        raise _UsageError("--reduce applies to a file, not to --random")
     elif args.random < 1 or args.max_n < 1:
         raise _UsageError("--random and --max-n must be positive")
 
@@ -258,17 +255,14 @@ def _arg(*names: str, **options) -> tuple:
     return names, options
 
 
-_REDUCE = _arg(
-    "--reduce", action="store_true", help="drop dependent generator rows instead of failing"
-)
 _QCHECK = [("qcheck", _arg("file", help="qcheck file"))]
 _GF4 = [("gf4", _arg("file", help="gf4 file"))]
 
 # name -> row, in ``--help`` order
 _COMMANDS = {
-    "ebits": _Command("ebit count of a generator set", _ebits, _QCHECK, _REDUCE),
-    "params": _Command("[[n, k+c; c]] parameters", _params, _QCHECK, _REDUCE),
-    "sgsop": _Command("symplectic Gram-Schmidt pairing", _sgsop, _QCHECK, _REDUCE),
+    "ebits": _Command("ebit count of a generator set", _ebits, _QCHECK),
+    "params": _Command("[[n, k+c; c]] parameters", _params, _QCHECK),
+    "sgsop": _Command("symplectic Gram-Schmidt pairing", _sgsop, _QCHECK),
     "css": _Command(
         "import two binary parity checks",
         _css,
@@ -282,7 +276,7 @@ _COMMANDS = {
     ),
     "gf4": _Command("import a quaternary parity check", _gf4, _GF4),
     "gf4-expand": _Command(
-        "print the binary generator set of a quaternary import", _gf4_expand, _GF4, _REDUCE
+        "print the binary generator set of a quaternary import", _gf4_expand, _GF4
     ),
     "qudit": _Command(
         "edit count over a prime modulus", _qudit, [("qcheckd", _arg("file", help="qcheckd file"))]
@@ -323,7 +317,6 @@ _COMMANDS = {
         _arg("--random", type=int, metavar="COUNT", help="run a random sweep"),
         _arg("--max-n", dest="max_n", type=int, help="largest qubit count"),
         _arg("--seed", type=int, help="sweep seed (default: ebitcalc.verify.DEFAULT_SEED)"),
-        _REDUCE,
         check=_check_verify,
     ),
 }
@@ -357,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         inputs = []
         for kind, ((name,), _) in row.files:
             path = getattr(args, name)
-            inputs.append(None if path is None else _READERS[kind](_read(path), args))
+            inputs.append(None if path is None else _READERS[kind](_read(path)))
         fields, text, quiet = row.run(args, *inputs)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -7,7 +7,6 @@ from operator import index
 __all__ = [
     "EbitcalcError",
     "ShapeError",
-    "DependentRowsError",
     "UnsupportedModulusError",
     "DegreeLimitError",
     "NonFiniteEntryError",
@@ -31,14 +30,6 @@ def _dimension(n: object) -> int:
     if not hasattr(n, "__index__") or index(n) < 0:
         raise ShapeError(f"matrix dimensions must be nonnegative integers, got {n!r}")
     return index(n)
-
-
-class DependentRowsError(EbitcalcError, ValueError):
-    """A generator row is a combination of earlier rows."""
-
-    def __init__(self, row_index: int):
-        self.row_index = row_index
-        super().__init__(f"generator row {row_index} depends on earlier rows")
 
 
 class UnsupportedModulusError(EbitcalcError, ValueError):

@@ -162,8 +162,7 @@ def parse_gf2(text: str) -> BinMatrix:
 def parse_qcheck(text: str) -> tuple[BinMatrix, BinMatrix]:
     """Generator set: header ``qcheck <generators> <n>`` then ``z|x`` rows.
 
-    Returns the raw (Z, X) pair; generator validation is the caller's
-    job so a dependent-row policy can apply.
+    Returns the (Z, X) pair, the fields of a ``QuantumCheckMatrix``.
     """
     (generators, n), z_words, x_words = _generator_rows(text, "qcheck", 2, _word)
     return BinMatrix(generators, n, z_words), BinMatrix(generators, n, x_words)

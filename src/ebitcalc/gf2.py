@@ -27,7 +27,6 @@ __all__ = [
     "RowReduction",
     "row_reduce",
     "rank",
-    "first_dependent_row",
     "independent_flags",
     "bits_to_word",
     "word_to_bits",
@@ -337,13 +336,3 @@ def rank(m: BinMatrix) -> int:
     """Rank over GF(2); equals ``row_reduce(m).rank``."""
     return sum(independent_flags(m._data))
 
-
-def first_dependent_row(m: BinMatrix) -> int | None:
-    """Index of the first row in the span of the rows above it, if any.
-
-    A zero row is dependent by convention.
-    """
-    for i, independent in enumerate(independent_flags(m._data)):
-        if not independent:
-            return i
-    return None

@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .errors import DependentRowsError, InternalInvariantError, ParseError, ShapeError
-from .gf2 import BinMatrix, first_dependent_row, independent_flags, rank
+from .errors import InternalInvariantError, ParseError, ShapeError
+from .gf2 import BinMatrix, rank
 
 __all__ = [
     "QuantumCheckMatrix",
@@ -35,10 +35,9 @@ _STRIP_PAULI = str.maketrans("", "", "IXZY")  # whatever survives is no Pauli le
 class QuantumCheckMatrix(namedtuple("QuantumCheckMatrix", "hz hx")):
     """Pauli generator list as a (Z part | X part) pair of binary matrices.
 
-    Rows, read as length-2n symplectic vectors, must be linearly
-    independent; construction raises :class:`DependentRowsError` naming
-    the first offending row otherwise.  Use :meth:`reduced` to drop
-    dependent rows instead.
+    Rows, read as length-2n symplectic vectors, may depend on each other:
+    every count is that of the group the rows generate, which any basis
+    of their span gives as well.
     """
 
     __slots__ = ()
@@ -52,9 +51,6 @@ class QuantumCheckMatrix(namedtuple("QuantumCheckMatrix", "hz hx")):
     def __post_init__(self):
         if (self.hz.rows, self.hz.cols) != (self.hx.rows, self.hx.cols):
             raise ShapeError("Z and X parts must have identical shape")
-        dep = first_dependent_row(self.stacked())
-        if dep is not None:
-            raise DependentRowsError(dep)  # hence at most 2n generators
 
     @property
     def n(self) -> int:
@@ -87,20 +83,6 @@ class QuantumCheckMatrix(namedtuple("QuantumCheckMatrix", "hz hx")):
             BinMatrix.from_strings([label.translate(_X_DIGITS) for label in labels]),
         )
 
-    @classmethod
-    def reduced(cls, hz: BinMatrix, hx: BinMatrix) -> "QuantumCheckMatrix":
-        """Construct after dropping rows dependent on earlier ones."""
-        if (hz.rows, hz.cols) != (hx.rows, hx.cols):
-            raise ShapeError("Z and X parts must have identical shape")
-        stacked = hz.hstack(hx)
-        flags = independent_flags(stacked.row_bits(i) for i in range(stacked.rows))
-        keep = [i for i, independent in enumerate(flags) if independent]
-        n = hz.cols
-        return cls(
-            BinMatrix(len(keep), n, (hz.row_bits(i) for i in keep)),
-            BinMatrix(len(keep), n, (hx.row_bits(i) for i in keep)),
-        )
-
 
 def symplectic_product_table(hz: BinMatrix, hx: BinMatrix) -> BinMatrix:
     """Pairwise symplectic products of raw (Z | X) rows.
@@ -110,7 +92,7 @@ def symplectic_product_table(hz: BinMatrix, hx: BinMatrix) -> BinMatrix:
     """
     if (hz.rows, hz.cols) != (hx.rows, hx.cols):
         raise ShapeError("Z and X parts must have identical shape")
-    if not hz.rows:  # hz.transpose() would hold one empty row per column
+    if not hz.rows:  # the same 0 x 0 table, without a transpose of a zero row per column
         return BinMatrix.zeros(0, 0)
     half = hx @ hz.transpose()
     return half + half.transpose()
@@ -228,8 +210,10 @@ class CodeParameters(
 ):
     """Resource summary [[n, logical(, distance); ebits]] of a generator set.
 
-    ``generators`` independent generators on ``n`` qubits that consume
-    ``ebits`` ebits encode ``n - generators + ebits`` logical qubits.
+    ``generators`` is the dimension of the group the rows generate, the
+    rank of the rows: that many independent generators on ``n`` qubits
+    that consume ``ebits`` ebits encode ``n - generators + ebits``
+    logical qubits.
     ``distance`` is pass-through metadata, never computed here.
     """
 
@@ -250,5 +234,5 @@ class CodeParameters(
 
 
 def code_parameters(h: QuantumCheckMatrix) -> CodeParameters:
-    """Qubit/ebit/ancilla bookkeeping for a generator set."""
-    return CodeParameters(h.n, h.generators, ebit_count(h))
+    """Qubit/ebit/ancilla bookkeeping for the group a generator set generates."""
+    return CodeParameters(h.n, rank(h.stacked()), ebit_count(h))

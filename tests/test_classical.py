@@ -14,7 +14,7 @@ from ebitcalc.classical import (
     gf4_parameters,
     gf4_symplectic_rows,
 )
-from ebitcalc.errors import DependentRowsError, ShapeError
+from ebitcalc.errors import ShapeError
 from ebitcalc.gf2 import BinMatrix, rank
 from ebitcalc.gf4 import GF4Matrix, gf4_mul, gf4_rank
 from ebitcalc.symplectic import (
@@ -94,6 +94,20 @@ def test_css_degenerate_empty_parity_check():
     assert (p.n, p.logical, p.ebits, p.ancillas) == (3, 2, 0, 1)
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, 70])
+def test_empty_sides_give_empty_products_of_rank_zero(n):
+    # An empty side's transpose is an n x 0 matrix, so each product
+    # comes out with no rows or no columns, and with rank 0.
+    empty, full = BinMatrix.zeros(0, n), BinMatrix.identity(n)
+    assert symplectic_product_table(empty, empty) == BinMatrix.zeros(0, 0)
+    assert empty @ full.transpose() == BinMatrix.zeros(0, n)
+    assert full @ empty.transpose() == BinMatrix.zeros(n, 0)
+    assert css_ebits(empty, full) == css_ebits(full, empty) == 0
+    quaternary = GF4Matrix.zeros(0, n)
+    assert quaternary @ quaternary.conj().transpose() == GF4Matrix.zeros(0, 0)
+    assert gf4_ebits(quaternary) == 0
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_css_formula_matches_construction(seed):
     rng = random.Random(seed)
@@ -141,12 +155,13 @@ def test_gamma_map_two_columns():
 
 
 def test_gf4_expansion_of_dependent_rows():
-    # rows [w] and [v] are GF(4)-proportional, so the expansion collapses
+    # rows [w] and [v] are GF(4)-proportional, so their four binary rows
+    # span two dimensions, and both imports count that group
     m = GF4Matrix.from_strings(["w", "v"])
-    with pytest.raises(DependentRowsError):
-        QuantumCheckMatrix(*gf4_symplectic_rows(m))
-    reduced = QuantumCheckMatrix.reduced(*gf4_symplectic_rows(m))
-    assert reduced.generators == 2
+    q = QuantumCheckMatrix(*gf4_symplectic_rows(m))
+    assert q.generators == 4
+    assert code_parameters(q) == gf4_parameters(m) == (1, 2, 1, None)
+    assert ebit_count(q) == gf4_ebits(m) == 1
 
 
 def test_gf4_ebits_examples():

@@ -156,7 +156,7 @@ def test_gf4_import_equals_count_of_its_expansion_property(text):
         source, expanded = Path(tmp) / "h.gf4", Path(tmp) / "h.qcheck"
         source.write_text(text)
         quaternary = json.loads(_main_stdout("gf4", "--json", str(source)))
-        expanded.write_text(_main_stdout("gf4-expand", "--reduce", str(source)))
+        expanded.write_text(_main_stdout("gf4-expand", str(source)))
         binary = json.loads(_main_stdout("ebits", "--json", str(expanded)))
     assert quaternary["ebits"] == binary["ebits"]
 
@@ -320,14 +320,14 @@ def test_verify_needs_file_or_random(capsys):
     assert "--max-n" in err
 
 
-def test_dependent_rows_domain_error_and_reduce(capsys):
+def test_dependent_rows_count_the_group_they_generate(capsys):
+    # the third row is the sum of the first two
     f = str(DATA / "dependent.qcheck")
-    code, out, err = run(capsys, "ebits", f)
-    assert code == EXIT_DOMAIN
-    assert "row 2" in err
-    obj = run_json(capsys, "ebits", f, "--reduce")
-    assert obj["generators"] == 2
-    assert obj["ebits"] == 0
+    obj = run_json(capsys, "ebits", f)
+    assert (obj["generators"], obj["ebits"]) == (3, 0)
+    obj = run_json(capsys, "params", f)
+    assert (obj["generators"], obj["ebits"], obj["logical"]) == (2, 0, 0)
+    assert run_json(capsys, "verify", f)["agreement"] is True
 
 
 def test_quiet_prints_bare_value(capsys):
@@ -470,22 +470,21 @@ def test_bad_option_values_are_usage_errors(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
-    "command, header, code, out",
+    "command, header, out",
     [
-        ("ebits", "qcheck 1 0", EXIT_DOMAIN, ""),  # a zero row counts as dependent
-        ("qudit", "qcheckd 3 1 0", EXIT_OK, "edits: 0\n"),
-        ("cv", "cvcheck 1 0", EXIT_OK, "entangled modes: 0\n"),
-        ("conv", "conv 1 0", EXIT_OK, "ebits per frame: 0 (conjectured)\n"),
+        ("ebits", "qcheck 1 0", "ebits: 0\n"),
+        ("qudit", "qcheckd 3 1 0", "edits: 0\n"),
+        ("cv", "cvcheck 1 0", "entangled modes: 0\n"),
+        ("conv", "conv 1 0", "ebits per frame: 0 (conjectured)\n"),
     ],
     ids=["qcheck", "qcheckd", "cvcheck", "conv"],
 )
-def test_zero_qubit_generator_row_has_empty_sides(
-    capsys, tmp_path, command, header, code, out
-):
-    # every pair format reads a blank side of "|" as zero entries
+def test_zero_qubit_generator_row_has_empty_sides(capsys, tmp_path, command, header, out):
+    # every pair format reads a blank side of "|" as zero entries, and a
+    # zero row, like any dependent row, counts as the group it generates
     path = tmp_path / "zero.txt"
     path.write_text(f"{header}\n|\n")
-    assert run(capsys, command, str(path))[:2] == (code, out)
+    assert run(capsys, command, str(path))[:2] == (EXIT_OK, out)
 
 
 @pytest.mark.parametrize(
@@ -544,14 +543,16 @@ def test_json_with_quiet_is_a_usage_error(capsys, flags):
     assert err == "error: --json and --quiet cannot be given together\n"
 
 
-def test_reduce_is_taken_where_it_acts(capsys):
+def test_reduce_is_an_unrecognized_argument(capsys):
     for argv in (
+        ("ebits", str(DATA / "dependent.qcheck")),
         ("params", str(DATA / "dependent.qcheck")),
         ("sgsop", str(DATA / "dependent.qcheck")),
         ("verify", str(DATA / "dependent.qcheck")),
         ("gf4-expand", str(DATA / "example.gf4")),
     ):
-        assert run_json(capsys, *argv, "--reduce")["command"] == argv[0]
+        code, out, err = run(capsys, *argv, "--reduce")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: unrecognized arguments: --reduce\n")
 
 
 def test_option_defaults_come_from_the_library(capsys):

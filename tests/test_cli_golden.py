@@ -3,9 +3,9 @@
 Each command runs on every file under ``tests/data`` (``css`` and
 ``conv-css`` on every ordered pair), in text, ``--json`` and
 ``--quiet`` modes, plus the root and per-command ``--help``.  The
-``options`` group adds the option paths: ``--reduce`` wherever it acts,
-the ``css`` distances, a ``cv`` tolerance, random ``verify`` sweeps,
-and usage errors, whose stderr is then pinned byte for byte.  The
+``options`` group adds the option paths: the ``css`` distances, a ``cv``
+tolerance, random ``verify`` sweeps, and usage errors, whose stderr is
+then pinned byte for byte.  The
 recorded transcript is ``tests/data/cli_golden.json``; a refactor that
 changes no behaviour leaves it byte-identical.
 
@@ -29,7 +29,6 @@ GOLDEN = DATA / "cli_golden.json"
 FIXTURES = sorted(p.name for p in DATA.iterdir() if p.name != GOLDEN.name)
 MODES = ((), ("--json",), ("--quiet",))
 PAIRED = ("css", "conv-css")
-REDUCE = ("ebits", "params", "sgsop", "gf4-expand", "verify")
 # Bad option values, flags a command does not act on, an unknown
 # command and missing file arguments: each exits 1 before a file is read.
 USAGE_ERRORS = [
@@ -67,7 +66,6 @@ def cases(command):
     if command == "options":
         pairs = [[a, b] for a in FIXTURES for b in FIXTURES]
         runs = [
-            *([name, f, "--reduce"] for name in REDUCE for f in FIXTURES),
             *(["css", *pair, "--d1", "3", "--d2", "3"] for pair in pairs),
             ["cv", "pair.cvcheck", "--tol", "0.5"],
             ["verify", "--random", "3", "--max-n", "4"],

@@ -77,6 +77,10 @@ def test_numerical_rank_plain_cases():
     assert numerical_rank(np.zeros((3, 3)), 1e-10) == 0
     assert numerical_rank(np.eye(4), 1e-10) == 4
     assert numerical_rank(np.array([[1.0, 2.0], [2.0, 4.0]]), 1e-10) == 1
+    # both ends of the tolerance: 0 is allowed, and a pivot exactly at the
+    # threshold counts as zero
+    assert numerical_rank(np.eye(2), 0.0) == 2
+    assert numerical_rank(np.diag([1.0, 0.5]), 0.5) == 1
 
 
 def test_rational_rank_examples():

@@ -14,7 +14,7 @@ from ebitcalc.errors import ShapeError
 from ebitcalc.gf2 import (
     BinMatrix,
     bits_to_word,
-    first_dependent_row,
+    independent_flags,
     rank,
     row_reduce,
     word_to_bits,
@@ -241,9 +241,10 @@ def test_hsplit_rejects_a_split_outside_the_columns():
 
 
 def test_first_dependent_row():
-    assert first_dependent_row(BinMatrix.identity(3)) is None
-    assert first_dependent_row(BinMatrix.from_strings(["00", "10"])) == 0
-    assert first_dependent_row(BinMatrix.from_strings(["11", "10", "01"])) == 2
+    # the first False flag: a zero row, or a row in the span of those above
+    assert list(independent_flags([1, 2, 4])) == [True, True, True]
+    assert list(independent_flags([0, 1])) == [False, True]
+    assert list(independent_flags([3, 1, 2])) == [True, True, False]
 
 
 def test_bad_entries_rejected():
@@ -417,7 +418,7 @@ def test_rank_and_first_dependent_row_match_row_reduce(rows, cols, seed):
 
     # the shortest prefix whose rank stops growing ends in the first dependent row
     shortest = bisect.bisect_left(range(rows + 1), True, key=prefix_dependent)
-    assert first_dependent_row(m) == (shortest - 1 if shortest <= rows else None)
+    assert [*independent_flags(words), False].index(False) == shortest - 1
 
 
 @pytest.mark.parametrize("rows, cols", [(2**20, 1), (1, 2**20)])

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ebitcalc import symplectic
-from ebitcalc.errors import DependentRowsError, ParseError, ShapeError
+from ebitcalc.errors import ParseError, ShapeError
 from ebitcalc.formats import format_qcheck, parse_qcheck
 from ebitcalc.gf2 import BinMatrix, rank, row_reduce
 from ebitcalc.symplectic import (
@@ -23,7 +23,7 @@ from ebitcalc.verify import (
     random_check_matrix,
     rank_by_span_enumeration,
 )
-from helpers import random_bin_matrix
+from helpers import independent_rows, random_bin_matrix
 
 FIVE_QUBIT = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
 
@@ -103,34 +103,23 @@ def test_code_parameters_examples():
     assert five.bracket() == "[[5, 1; 0]]"
 
 
-def test_construction_rejects_dependent_rows():
-    hz = BinMatrix.from_strings(["10", "01", "11"])
-    hx = BinMatrix.zeros(3, 2)
-    with pytest.raises(DependentRowsError) as err:
-        QuantumCheckMatrix(hz, hx)
-    assert err.value.row_index == 2
-
-
-def test_construction_rejects_zero_row():
-    with pytest.raises(DependentRowsError) as err:
-        QuantumCheckMatrix(BinMatrix.zeros(1, 2), BinMatrix.zeros(1, 2))
-    assert err.value.row_index == 0
-
-
-def test_reduced_drops_dependent_rows():
-    hz = BinMatrix.from_strings(["10", "01", "11"])
-    hx = BinMatrix.zeros(3, 2)
-    h = QuantumCheckMatrix.reduced(hz, hx)
-    assert h.generators == 2
-    assert h.hz.to_strings() == ["10", "01"]
+def test_construction_accepts_dependent_and_zero_rows():
+    # a sum of earlier rows, then a zero row: the set generates the group
+    # of its first two rows, and every count is that group's
+    h = QuantumCheckMatrix.from_pauli_strings(["ZI", "IZ", "ZZ", "II"])
+    assert h.generators == 4
+    p = code_parameters(h)
+    assert (p.generators, p.ebits, p.logical, p.ancillas) == (2, 0, 0, 2)
+    assert symplectic_gram_schmidt(h).isotropic == (0, 1, 2, 3)
 
 
 def test_more_than_2n_generators_always_dependent():
-    hz = BinMatrix.from_strings(["1", "0", "1"])
-    hx = BinMatrix.from_strings(["0", "1", "1"])
-    with pytest.raises(DependentRowsError) as err:
-        QuantumCheckMatrix(hz, hx)
-    assert err.value.row_index == 2
+    # Z, X and Y on one qubit: the group of the first two, which anticommute
+    h = QuantumCheckMatrix.from_pauli_strings(["Z", "X", "Y"])
+    assert h.generators == 3
+    assert code_parameters(h) == (1, 2, 1, None)
+    assert code_parameters(h).bracket() == "[[1, 0; 1]]"
+    assert symplectic_gram_schmidt(h).ebits == 1
 
 
 def test_construction_rejects_shape_mismatch():
@@ -333,14 +322,10 @@ def _commuting_first_set(rng, n, c, k, layers=12):
 
 @st.composite
 def _random_sets(draw):
-    """Up to 2n random (Z | X) rows on up to 10 qubits, dependent ones dropped."""
+    """Up to 2n random (Z | X) rows on up to 10 qubits, dependent ones included."""
     n = draw(st.integers(1, 10))
     words = draw(st.lists(st.integers(0, (1 << 2 * n) - 1), max_size=2 * n))
-    mask = (1 << n) - 1
-    return QuantumCheckMatrix.reduced(
-        BinMatrix(len(words), n, [w & mask for w in words]),
-        BinMatrix(len(words), n, [w >> n for w in words]),
-    )
+    return QuantumCheckMatrix.from_stacked(BinMatrix(len(words), 2 * n, words))
 
 
 @st.composite
@@ -382,7 +367,8 @@ def _symplectic_complement(h):
 @example(QuantumCheckMatrix.from_pauli_strings(["XZY"]))
 def test_complement_needs_n_minus_m_more_ebits_property(h):
     # V and V^perp share the radical V & V^perp, so their counts differ
-    # by half the difference of their dimensions, 2n - 2m.
+    # by half the difference of their dimensions, 2n - 2m, where m = dim V.
+    h = independent_rows(h)
     perp = _symplectic_complement(h)
     assert perp.generators == 2 * h.n - h.generators
     assert ebit_count(perp) == ebit_count(h) + h.n - h.generators
@@ -427,11 +413,11 @@ def test_product_table_time_bound_at_2048():
 
 
 def test_ebits_pipeline_time_bound_at_2048():
-    # What `ebits` does in process: parse, the checked constructor (the
-    # independence check) and the count.  Best of three: 0.33 s on a
-    # 2-core x86-64 machine (single runs 0.33-0.50 s), against 0.53 s with
-    # a transpose through per-row strings and a dict-keyed XOR basis; the
-    # bound is about twice the best.
+    # What `ebits` does in process: parse, the constructor and the count.
+    # Best of three: 0.33 s on a 2-core x86-64 machine (single runs
+    # 0.33-0.50 s), when the constructor still checked the rows for
+    # independence, against 0.53 s with a transpose through per-row
+    # strings and a dict-keyed XOR basis; the bound is about twice the best.
     h = random_check_matrix(random.Random(2048), 2048, 2048)
     text = format_qcheck(h.hz, h.hx)
     elapsed = []
