@@ -103,14 +103,23 @@ def test_code_parameters_examples():
     assert five.bracket() == "[[5, 1; 0]]"
 
 
-def test_construction_accepts_dependent_and_zero_rows():
-    # a sum of earlier rows, then a zero row: the set generates the group
-    # of its first two rows, and every count is that group's
-    h = QuantumCheckMatrix.from_pauli_strings(["ZI", "IZ", "ZZ", "II"])
-    assert h.generators == 4
+def test_construction_accepts_dependent_rows():
+    # the third row is the sum of the first two: the set generates the
+    # group of its first two rows, and every count is that group's
+    h = QuantumCheckMatrix.from_pauli_strings(["ZI", "IZ", "ZZ"])
+    assert h.generators == 3
     p = code_parameters(h)
     assert (p.generators, p.ebits, p.logical, p.ancillas) == (2, 0, 0, 2)
-    assert symplectic_gram_schmidt(h).isotropic == (0, 1, 2, 3)
+    assert symplectic_gram_schmidt(h).isotropic == (0, 1, 2)
+
+
+def test_construction_accepts_zero_row():
+    # a zero row generates nothing: the counts are those of the other row
+    h = QuantumCheckMatrix.from_pauli_strings(["II", "ZX"])
+    assert h.generators == 2
+    p = code_parameters(h)
+    assert (p.generators, p.ebits, p.logical, p.ancillas) == (1, 0, 1, 1)
+    assert symplectic_gram_schmidt(h).isotropic == (0, 1)
 
 
 def test_more_than_2n_generators_always_dependent():
