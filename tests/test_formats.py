@@ -255,3 +255,104 @@ def test_conv4_allows_coefficients():
 def test_conv_wrong_entry_count():
     with pytest.raises(ParseError, match="expected 2 polynomial entries"):
         parse_conv_plain("conv 1 2\n1+D\n")
+
+
+# Every reader, by the name the CLI's file kinds use; "conv" is the Z|X pair form.
+READERS = {
+    "qcheck": parse_qcheck,
+    "gf2": parse_gf2,
+    "gf4": parse_gf4,
+    "qcheckd": parse_qcheckd,
+    "cvcheck": parse_cvcheck,
+    "conv": parse_conv_pair,
+    "conv-plain": parse_conv_plain,
+    "conv4": lambda text: parse_conv_plain(text, tag="conv4"),
+}
+
+ONE_BAR = "generator row needs exactly one '|' between the Z and X blocks"
+
+# (reader, case, text, the exact message) for each diagnostic of the header-and-rows layout
+PARSE_DIAGNOSTICS = [
+    ("qcheck", "header", "gf2 1 1\n1\n", "line 1: expected header 'qcheck', found 'gf2'"),
+    ("qcheck", "too-few", "qcheck 2 3\n101|010\n", "expected 2 generator rows, found 1"),
+    ("qcheck", "too-many", "qcheck 1 3\n101|010\n111|000\n",
+     "line 3: unexpected content after 1 generator rows"),
+    ("qcheck", "no-bar", "qcheck 1 3\n101010\n", f"line 2: {ONE_BAR}"),
+    ("qcheck", "two-bars", "qcheck 1 3\n101|010|\n", f"line 2: {ONE_BAR}"),
+    ("qcheck", "z-width", "qcheck 1 3\n10|010\n", "line 2: expected 3 binary digits, got 2"),
+    ("qcheck", "x-width", "qcheck 1 3\n101|0101\n", "line 2: expected 3 binary digits, got 4"),
+    ("qcheck", "bad-digit", "qcheck 1 3\n101|0x0\n", "line 2: invalid binary digit 'x'"),
+    ("gf2", "header", "gf4 1 1\n1\n", "line 1: expected header 'gf2', found 'gf4'"),
+    ("gf2", "too-few", "gf2 2 3\n101\n", "expected 2 matrix rows, found 1"),
+    ("gf2", "too-many", "gf2 1 3\n101\n010\n", "line 3: unexpected content after 1 matrix rows"),
+    ("gf2", "zero-columns", "gf2 3 0\n\n", "expected 3 matrix rows, found 1"),
+    ("gf2", "width", "gf2 1 3\n1010\n", "line 2: expected 3 binary digits, got 4"),
+    ("gf2", "bad-digit", "gf2 1 3\n1y0\n", "line 2: invalid binary digit 'y'"),
+    ("gf2", "zero-columns-after-comment", "# c\ngf2 2 0\n\n", "expected 2 matrix rows, found 1"),
+    ("gf4", "header", "gf2 1 1\n1\n", "line 1: expected header 'gf4', found 'gf2'"),
+    ("gf4", "too-few", "gf4 2 2\n1w\n", "expected 2 matrix rows, found 1"),
+    ("gf4", "too-many", "gf4 1 2\n1w\nv0\n", "line 3: unexpected content after 1 matrix rows"),
+    ("gf4", "zero-columns", "gf4 2 0\n", "expected 2 matrix rows, found 0"),
+    ("gf4", "width", "gf4 1 2\n1wv\n", "line 2: expected 2 symbols, got 3"),
+    ("gf4", "bad-symbol", "gf4 1 2\n1z\n", "line 2: invalid GF(4) symbol 'z'"),
+    ("qcheckd", "header", "qcheck 1 1\n1|0\n", "line 1: expected header 'qcheckd', found 'qcheck'"),
+    ("qcheckd", "too-few", "qcheckd 3 2 1\n1 | 2\n", "expected 2 generator rows, found 1"),
+    ("qcheckd", "too-many", "qcheckd 3 1 1\n1 | 2\n0 | 0\n",
+     "line 3: unexpected content after 1 generator rows"),
+    ("qcheckd", "no-bar", "qcheckd 3 1 1\n1 2\n", f"line 2: {ONE_BAR}"),
+    ("qcheckd", "two-bars", "qcheckd 3 1 1\n1 | 2 | 0\n", f"line 2: {ONE_BAR}"),
+    ("qcheckd", "z-width", "qcheckd 3 1 2\n1 | 0 1\n", "line 2: expected 2 residues, got 1"),
+    ("qcheckd", "x-width", "qcheckd 3 1 2\n1 0 | 1\n", "line 2: expected 2 residues, got 1"),
+    ("qcheckd", "bad-residue", "qcheckd 3 1 1\n1 | x\n", "line 2: non-integer residue"),
+    ("cvcheck", "header", "qcheck 1 1\n1|0\n", "line 1: expected header 'cvcheck', found 'qcheck'"),
+    ("cvcheck", "too-few", "cvcheck 2 1\n1.0 | 0.5\n", "expected 2 generator rows, found 1"),
+    ("cvcheck", "too-many", "cvcheck 1 1\n1.0 | 0.5\n0 | 0\n",
+     "line 3: unexpected content after 1 generator rows"),
+    ("cvcheck", "no-bar", "cvcheck 1 1\n1.0 0.5\n", f"line 2: {ONE_BAR}"),
+    ("cvcheck", "two-bars", "cvcheck 1 1\n1.0 | 0.5 | 0\n", f"line 2: {ONE_BAR}"),
+    ("cvcheck", "z-width", "cvcheck 1 2\n1.0 | 0.5 2\n",
+     "line 2: expected 2 reals in the Z block, got 1"),
+    ("cvcheck", "x-width", "cvcheck 1 2\n1.0 2 | 0.5\n",
+     "line 2: expected 2 reals in the X block, got 1"),
+    ("cvcheck", "z-bad-real", "cvcheck 1 1\nabc | 0.5\n", "line 2: invalid real in the Z block"),
+    ("cvcheck", "x-bad-real", "cvcheck 1 1\n1.0 | 0.5.5\n", "line 2: invalid real in the X block"),
+    ("conv", "header", "conv4 1 1\n1|0\n", "line 1: expected header 'conv', found 'conv4'"),
+    ("conv", "too-few", "conv 2 1\n1 | D\n", "expected 2 generator rows, found 1"),
+    ("conv", "too-many", "conv 1 1\n1 | D\n0 | 0\n",
+     "line 3: unexpected content after 1 generator rows"),
+    ("conv", "no-bar", "conv 1 1\n1+D\n", f"line 2: {ONE_BAR}"),
+    ("conv", "two-bars", "conv 1 1\n1 | D | 0\n", f"line 2: {ONE_BAR}"),
+    ("conv", "z-width", "conv 1 2\n1 | 0,D\n", "line 2: expected 2 polynomial entries, got 1"),
+    ("conv", "x-width", "conv 1 2\n1,D | 0\n", "line 2: expected 2 polynomial entries, got 1"),
+    ("conv", "bad-term", "conv 1 1\nQ | 0\n", "line 2: bad polynomial term 'Q'"),
+    ("conv", "gf4-coefficient", "conv 1 1\n0 | w*D\n",
+     "line 2: GF(4) coefficient in term 'w*D'; only conv4 files allow w and v"),
+    ("conv-plain", "header", "conv4 1 1\n1\n", "line 1: expected header 'conv', found 'conv4'"),
+    ("conv-plain", "too-few", "conv 2 1\nD\n", "expected 2 matrix rows, found 1"),
+    ("conv-plain", "too-many", "conv 1 1\nD\n1\n",
+     "line 3: unexpected content after 1 matrix rows"),
+    ("conv-plain", "zero-columns", "conv 2 0\n\n", "expected 2 matrix rows, found 1"),
+    ("conv-plain", "width", "conv 1 2\nD\n", "line 2: expected 2 polynomial entries, got 1"),
+    ("conv-plain", "bad-exponent", "conv 1 1\nD^x\n", "line 2: bad exponent in term 'D^x'"),
+    ("conv-plain", "bar", "conv 1 1\n1 | D\n",
+     "line 2: 'conv' matrix rows must not contain '|'; this file looks like a quantum Z|X pair"),
+    ("conv4", "header", "conv 1 1\n1\n", "line 1: expected header 'conv4', found 'conv'"),
+    ("conv4", "too-few", "conv4 2 1\nw*D\n", "expected 2 matrix rows, found 1"),
+    ("conv4", "too-many", "conv4 1 1\nw*D\nv\n", "line 3: unexpected content after 1 matrix rows"),
+    ("conv4", "zero-columns", "conv4 3 0\n\n\n", "expected 3 matrix rows, found 2"),
+    ("conv4", "width", "conv4 1 2\nw,v,1\n", "line 2: expected 2 polynomial entries, got 3"),
+    ("conv4", "bad-coefficient", "conv4 1 1\nq*D\n", "line 2: bad coefficient 'q' in term 'q*D'"),
+    ("conv4", "bar", "conv4 1 1\nw | D\n",
+     "line 2: 'conv4' matrix rows must not contain '|'; this file looks like a quantum Z|X pair"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, case, text, message",
+    PARSE_DIAGNOSTICS,
+    ids=[f"{kind}-{case}" for kind, case, _, _ in PARSE_DIAGNOSTICS],
+)
+def test_parse_diagnostic_is_exact(kind, case, text, message):
+    with pytest.raises(ParseError) as info:
+        READERS[kind](text)
+    assert str(info.value) == message
