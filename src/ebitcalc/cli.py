@@ -30,7 +30,7 @@ from .errors import EbitcalcError, InternalInvariantError, ParseError
 # module-level TYPE_CHECKING as true.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from .symplectic import CodeParameters, QuantumCheckMatrix
+    from .symplectic import CodeParameters
 
 __all__ = ["EXIT_OK", "EXIT_USAGE", "EXIT_PARSE", "EXIT_DOMAIN", "main"]
 
@@ -51,28 +51,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
-    # Binary mode and bytes.decode load no codec module; newlines stay as
-    # written, and the parsers' splitlines() reads \r\n and \r as well.
+    # Binary mode and bytes.decode load no codec module; line ends stay as
+    # written, and bytes.splitlines, like the parsers, ends a line at \n,
+    # \r\n and \r alone.
     try:
         with open(path, "rb") as f:
             return f.read().decode("ascii")
     except UnicodeDecodeError as err:
-        line = err.object.count(b"\n", 0, err.start) + 1
+        line = len((err.object[: err.start] + b".").splitlines())
         raise ParseError(f"non-ASCII byte 0x{err.object[err.start]:02x} in {path}", line) from None
 
 
-def _qcheck(text: str) -> QuantumCheckMatrix:
-    """A qcheck file's generator set, dependent rows included."""
-    from .symplectic import QuantumCheckMatrix
-
-    return QuantumCheckMatrix(*formats.parse_qcheck(text))
-
-
-# File kind -> reader of its text; "conv" is the Z|X pair form.  Each
-# reader looks its parser up when it runs, so the benchmark's tracer,
-# which wraps module attributes, sees every parse.
+# File kind -> reader of its text, which returns what the kind's count
+# takes; "conv" is the Z|X pair form.  Each reader looks its parser up
+# when it runs, so the benchmark's tracer, which wraps module attributes,
+# sees every parse.
 _READERS = {
-    "qcheck": _qcheck,
+    "qcheck": lambda text: formats.parse_qcheck(text),
     "gf2": lambda text: formats.parse_gf2(text),
     "gf4": lambda text: formats.parse_gf4(text),
     "qcheckd": lambda text: formats.parse_qcheckd(text),

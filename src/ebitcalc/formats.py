@@ -1,11 +1,16 @@
 """Line-oriented text formats for every matrix kind the CLI accepts.
 
-All formats share the same conventions: ASCII, one header line naming
-the format and its dimensions, then one line per row; ``#`` starts a
-comment and blank lines are ignored, so fixtures stay hand-editable.
+All formats share one layout, read by ``_read_rows``: ASCII, a header
+line naming the format and its integer fields, then one line per row.
+``#`` starts a comment and blank lines are skipped, except as the rows
+of a 0-column matrix.  A generator row holds exactly one ``|``, between
+its Z and X blocks.  ``\\n``, ``\\r\\n`` and ``\\r`` end a line, and nothing
+else does.  A format adds an entry reader and a builder of what its count takes.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .errors import DegreeLimitError, EbitcalcError, ParseError
 from .gf2 import BinMatrix, bits_to_word
@@ -20,6 +25,7 @@ if TYPE_CHECKING:
     from .gf4 import GF4Matrix
     from .laurent import LaurentMatrix, LaurentPoly
     from .qudit import ModMatrix
+    from .symplectic import QuantumCheckMatrix
 
 __all__ = [
     "parse_gf2",
@@ -35,15 +41,6 @@ __all__ = [
 ]
 
 _COEFF_VALUES = {"1": 1, "w": 2, "v": 3}
-
-
-def _logical_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
-        if content:
-            out.append((number, content))
-    return out
 
 
 def _integer(token: str) -> int:
@@ -78,38 +75,65 @@ def _split_header(lines: list[tuple[int, str]], expected: str, ints: int) -> lis
     return values
 
 
-def _take_rows(lines: list[tuple[int, str]], count: int, what: str) -> list[tuple[int, str]]:
+def _read_rows(text: str, tag: str, ints: int, entry, pair: bool = False) -> tuple[list, list]:
+    """Header fields and rows of a file in any format: ``[rows]``, or ``[z_rows, x_rows]``.
+
+    ``entry(chunk, width, number, block)`` reads one stripped row, or with
+    ``pair`` one side of a ``z | x`` row, ``block`` being ``"Z"`` or ``"X"``.
+    """
+    # str.splitlines would also end a line at \v, \f and \x1c-\x1e; a scan
+    # for \r is cheaper than a replace of \r\n that finds none
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    raw = text.split("\n")
+    lines = [(i, c) for i, line in enumerate(raw, 1) if (c := line.split("#", 1)[0].strip())]
+    header = _split_header(lines, tag, ints)
+    count, width = header[-2:]
+    what = "generator" if pair else "matrix"
     body = lines[1:]
-    if len(body) < count:
-        raise ParseError(f"expected {count} {what} rows, found {len(body)}")
+    found = len(body)
+    if not (width or body or pair):
+        # A 0-column matrix row is a blank line, which ``lines`` drops; count
+        # raw lines instead, of which a final line end starts none.
+        start = lines[0][0]
+        found = len(raw) - start - (raw[-1] == "")
+        body = [(start + 1 + i, "") for i in range(min(found, count))]
+    if found < count:
+        raise ParseError(f"expected {count} {what} rows, found {found}")
     if len(body) > count:
-        number, _ = body[count]
-        raise ParseError(f"unexpected content after {count} {what} rows", number)
-    return body
+        raise ParseError(f"unexpected content after {count} {what} rows", body[count][0])
+    if not pair:
+        return header, [[entry(content, width, number, "") for number, content in body]]
+    z_rows, x_rows = [], []
+    for number, content in body:
+        if content.count("|") != 1:
+            raise ParseError(
+                "generator row needs exactly one '|' between the Z and X blocks", number
+            )
+        z_part, x_part = content.split("|")
+        z_rows.append(entry(z_part.strip(), width, number, "Z"))
+        x_rows.append(entry(x_part.strip(), width, number, "X"))
+    return header, [z_rows, x_rows]
 
 
-def _take_matrix_rows(
-    text: str, lines: list[tuple[int, str]], rows: int, cols: int
-) -> list[tuple[int, str]]:
-    """Body rows of a ``gf2``, ``gf4`` or plain ``conv``/``conv4`` matrix."""
-    # A 0-column row is a blank line, which _logical_lines drops; count raw
-    # lines instead, so the file still holds one line per row.
-    if cols or len(lines) > 1:
-        return _take_rows(lines, rows, "matrix")
-    header = lines[0][0]
-    found = len(text.splitlines()) - header
-    if found < rows:
-        raise ParseError(f"expected {rows} matrix rows, found {found}")
-    return [(header + 1 + i, "") for i in range(rows)]
-
-
-def _word(chunk: str, width: int, number: int, block: str = "") -> int:
+def _word(chunk: str, width: int, number: int, block: str) -> int:
     if len(chunk) != width:
         raise ParseError(f"expected {width} binary digits, got {len(chunk)}", number)
     try:
         return bits_to_word(chunk)
     except ValueError as err:
         raise ParseError(str(err), number) from None
+
+
+def _symbols(chunk: str, width: int, number: int, block: str, check) -> str:
+    """A GF(4) row as written, once ``check`` (``gf4.check_symbols``) accepts it."""
+    if len(chunk) != width:
+        raise ParseError(f"expected {width} symbols, got {len(chunk)}", number)
+    try:
+        check(chunk)
+    except ValueError as err:
+        raise ParseError(str(err), number) from None
+    return chunk
 
 
 def _fields(chunk: str, width: int, number: int, what: str, read, invalid="", sep=None) -> list:
@@ -129,72 +153,8 @@ def _fields(chunk: str, width: int, number: int, what: str, read, invalid="", se
         raise ParseError(invalid, number) from None
 
 
-def _generator_rows(text: str, tag: str, ints: int, side) -> tuple[list[int], list, list]:
-    """Header fields and the Z and X sides of a ``z | x`` generator format.
-
-    The header ends in ``<generators> <n>``; ``side(chunk, n, number,
-    block)`` reads one stripped side of a row, ``block`` being ``"Z"`` or
-    ``"X"``.
-    """
-    lines = _logical_lines(text)
-    header = _split_header(lines, tag, ints)
-    generators, n = header[-2:]
-    z_rows, x_rows = [], []
-    for number, content in _take_rows(lines, generators, "generator"):
-        if content.count("|") != 1:
-            raise ParseError(
-                "generator row needs exactly one '|' between the Z and X blocks", number
-            )
-        z_part, x_part = content.split("|")
-        z_rows.append(side(z_part.strip(), n, number, "Z"))
-        x_rows.append(side(x_part.strip(), n, number, "X"))
-    return header, z_rows, x_rows
-
-
-def parse_gf2(text: str) -> BinMatrix:
-    """Binary matrix: header ``gf2 <rows> <cols>`` then 0/1 rows."""
-    lines = _logical_lines(text)
-    rows, cols = _split_header(lines, "gf2", 2)
-    body = _take_matrix_rows(text, lines, rows, cols)
-    return BinMatrix(rows, cols, [_word(content, cols, number) for number, content in body])
-
-
-def parse_qcheck(text: str) -> tuple[BinMatrix, BinMatrix]:
-    """Generator set: header ``qcheck <generators> <n>`` then ``z|x`` rows.
-
-    Returns the (Z, X) pair, the fields of a ``QuantumCheckMatrix``.
-    """
-    (generators, n), z_words, x_words = _generator_rows(text, "qcheck", 2, _word)
-    return BinMatrix(generators, n, z_words), BinMatrix(generators, n, x_words)
-
-
-def parse_gf4(text: str) -> GF4Matrix:
-    """Quaternary matrix: header ``gf4 <rows> <cols>`` then 0/1/w/v rows."""
-    from .gf4 import GF4Matrix, check_symbols
-
-    lines = _logical_lines(text)
-    rows, cols = _split_header(lines, "gf4", 2)
-    body = _take_matrix_rows(text, lines, rows, cols)
-    for number, content in body:
-        if len(content) != cols:
-            raise ParseError(f"expected {cols} symbols, got {len(content)}", number)
-        try:
-            check_symbols(content)
-        except ValueError as err:
-            raise ParseError(str(err), number) from None
-    return GF4Matrix.from_strings([content for _, content in body], cols)
-
-
 def _residues(chunk: str, width: int, number: int, block: str) -> list[int]:
     return _fields(chunk, width, number, "residues", _integer, "non-integer residue")
-
-
-def parse_qcheckd(text: str) -> tuple[ModMatrix, ModMatrix]:
-    """Qudit generator set: ``qcheckd <d> <generators> <n>``, ``z | x`` rows."""
-    from .qudit import ModMatrix
-
-    (d, _, n), z_grid, x_grid = _generator_rows(text, "qcheckd", 3, _residues)
-    return ModMatrix(z_grid, d, n), ModMatrix(x_grid, d, n)
 
 
 def _reals(chunk: str, width: int, number: int, block: str) -> list[float]:
@@ -206,15 +166,46 @@ def _reals(chunk: str, width: int, number: int, block: str) -> list[float]:
     return values
 
 
+def parse_gf2(text: str) -> BinMatrix:
+    """Binary matrix: header ``gf2 <rows> <cols>`` then 0/1 rows."""
+    (rows, cols), (words,) = _read_rows(text, "gf2", 2, _word)
+    return BinMatrix(rows, cols, words)
+
+
+def parse_qcheck(text: str) -> QuantumCheckMatrix:
+    """Generator set: header ``qcheck <generators> <n>`` then ``z|x`` rows.
+
+    Returns the ``QuantumCheckMatrix`` that the qcheck commands count, a
+    named (Z, X) pair, so ``hz, hx = parse_qcheck(text)`` still unpacks.
+    """
+    from .symplectic import QuantumCheckMatrix
+
+    (generators, n), (z_words, x_words) = _read_rows(text, "qcheck", 2, _word, pair=True)
+    return QuantumCheckMatrix(BinMatrix(generators, n, z_words), BinMatrix(generators, n, x_words))
+
+
+def parse_gf4(text: str) -> GF4Matrix:
+    """Quaternary matrix: header ``gf4 <rows> <cols>`` then 0/1/w/v rows."""
+    from .gf4 import GF4Matrix, check_symbols
+
+    (_, cols), (rows,) = _read_rows(text, "gf4", 2, partial(_symbols, check=check_symbols))
+    return GF4Matrix.from_strings(rows, cols)
+
+
+def parse_qcheckd(text: str) -> tuple[ModMatrix, ModMatrix]:
+    """Qudit generator set: ``qcheckd <d> <generators> <n>``, ``z | x`` rows."""
+    from .qudit import ModMatrix
+
+    (d, _, n), (z_grid, x_grid) = _read_rows(text, "qcheckd", 3, _residues, pair=True)
+    return ModMatrix(z_grid, d, n), ModMatrix(x_grid, d, n)
+
+
 def parse_cvcheck(text: str) -> tuple[np.ndarray, np.ndarray]:
     """Real generator set: ``cvcheck <generators> <n>``, rows ``reals | reals``."""
     import numpy as np
 
-    (generators, n), z_grid, x_grid = _generator_rows(text, "cvcheck", 2, _reals)
-    shape = (generators, n)
-    z = np.array(z_grid, dtype=np.float64).reshape(shape)
-    x = np.array(x_grid, dtype=np.float64).reshape(shape)
-    return z, x
+    (generators, n), grids = _read_rows(text, "cvcheck", 2, _reals, pair=True)
+    return tuple(np.array(grid, dtype=np.float64).reshape(generators, n) for grid in grids)
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +264,18 @@ def parse_poly(token: str, gf4: bool = False, line: int | None = None) -> Lauren
 
 
 def _polys(
-    chunk: str, width: int, number: int, block: str = "", gf4: bool = False
+    chunk: str, width: int, number: int, block: str, gf4: bool = False
 ) -> list[LaurentPoly]:
-    def read(token: str) -> LaurentPoly:
-        return parse_poly(token, gf4=gf4, line=number)
-
+    read = partial(parse_poly, gf4=gf4, line=number)
     return _fields(chunk, width, number, "polynomial entries", read, sep=",")
+
+
+def _plain_polys(chunk: str, width: int, number: int, block: str, tag: str) -> list[LaurentPoly]:
+    """A row of a plain ``tag`` matrix, which only ``conv4`` writes with w and v."""
+    if "|" in chunk:
+        pair = "this file looks like a quantum Z|X pair"
+        raise ParseError(f"'{tag}' matrix rows must not contain '|'; {pair}", number)
+    return _polys(chunk, width, number, block, gf4=tag == "conv4")
 
 
 def parse_conv_pair(text: str) -> tuple[LaurentMatrix, LaurentMatrix]:
@@ -289,7 +286,7 @@ def parse_conv_pair(text: str) -> tuple[LaurentMatrix, LaurentMatrix]:
     """
     from .laurent import LaurentMatrix
 
-    (_, n), z_rows, x_rows = _generator_rows(text, "conv", 2, _polys)
+    (_, n), (z_rows, x_rows) = _read_rows(text, "conv", 2, _polys, pair=True)
     return LaurentMatrix(z_rows, cols=n), LaurentMatrix(x_rows, cols=n)
 
 
@@ -301,19 +298,7 @@ def parse_conv_plain(text: str, tag: str = "conv") -> LaurentMatrix:
     """
     from .laurent import LaurentMatrix
 
-    gf4 = tag == "conv4"
-    lines = _logical_lines(text)
-    rows, cols = _split_header(lines, tag, 2)
-    body = _take_matrix_rows(text, lines, rows, cols)
-    grid = []
-    for number, content in body:
-        if "|" in content:
-            raise ParseError(
-                f"'{tag}' matrix rows must not contain '|'; this file looks like a"
-                " quantum Z|X pair",
-                number,
-            )
-        grid.append(_polys(content, cols, number, gf4=gf4))
+    (_, cols), (grid,) = _read_rows(text, tag, 2, partial(_plain_polys, tag=tag))
     return LaurentMatrix(grid, cols=cols)
 
 

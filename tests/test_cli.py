@@ -430,6 +430,23 @@ def test_non_ascii_input_is_parse_error(capsys, tmp_path):
         assert "line 2: non-ASCII byte 0xc3" in err
 
 
+def test_bare_carriage_returns_end_lines_before_a_non_ascii_byte(capsys, tmp_path):
+    # the parsers end a line at \r too, so the byte is on line 3 for both
+    f = tmp_path / "cr.gf2"
+    f.write_bytes(b"gf2 2 3\r101\r01\xff\r")
+    code, out, err = run(capsys, "css", str(f), str(f))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"error: line 3: non-ASCII byte 0xff in {f}\n"
+
+
+def test_form_feed_inside_a_row_ends_no_line(capsys, tmp_path):
+    f = tmp_path / "ff.gf2"
+    f.write_bytes(b"gf2 2 3\n101\n0\f11\n")
+    code, out, err = run(capsys, "css", str(f), str(f))
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == "error: line 3: expected 3 binary digits, got 4\n"
+
+
 def test_negative_header_dimension_is_parse_error(capsys, tmp_path):
     f = tmp_path / "negative.gf2"
     f.write_text("gf2 -1 3\n")

@@ -20,6 +20,7 @@ from ebitcalc.formats import (
 )
 from ebitcalc.gf2 import BinMatrix
 from ebitcalc.laurent import LaurentPoly
+from ebitcalc.symplectic import QuantumCheckMatrix
 
 DATA = Path(__file__).parent / "data"
 
@@ -69,6 +70,31 @@ def test_qcheck_parse_and_round_trip():
     hz, hx = parse_qcheck((DATA / "fivequbit.qcheck").read_text())
     assert hz.rows == 4 and hz.cols == 5
     assert parse_qcheck(format_qcheck(hz, hx)) == (hz, hx)
+
+
+def test_qcheck_parses_to_the_generator_set():
+    h = parse_qcheck("qcheck 2 2\n10|01\n11|00\n")
+    assert type(h) is QuantumCheckMatrix
+    assert h == (BinMatrix.from_strings(["10", "11"]), BinMatrix.from_strings(["01", "00"]))
+
+
+@pytest.mark.parametrize(
+    "end", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_only_newline_and_carriage_return_end_lines(end):
+    # str.splitlines would end a line at each of these, moving every later row
+    with pytest.raises(ParseError, match="^line 3: expected 3 binary digits, got 4$"):
+        parse_gf2(f"gf2 2 3\n101\n0{end}11\n")
+
+
+def test_newline_crlf_and_carriage_return_each_end_one_line():
+    assert parse_gf2("gf2 3 1\r\n1\r0\n1\r") == BinMatrix.from_strings(["1", "0", "1"])
+    with pytest.raises(ParseError, match="^line 4: invalid binary digit 'x'$"):
+        parse_gf2("gf2 3 1\r\n1\r0\nx\r")
+    # 0-column rows are raw lines, of which a final line end starts none
+    assert parse_gf2("gf2 2 0\r\n\r\r") == BinMatrix.zeros(2, 0)
+    with pytest.raises(ParseError, match="^expected 3 matrix rows, found 2$"):
+        parse_gf2("gf2 3 0\r\r\n\r")
 
 
 @st.composite

@@ -202,6 +202,17 @@ def test_column_count_must_be_an_integer(cols, expected):
         assert (m.cols, type(m.cols)) == (expected, int)
 
 
+def test_equal_grids_compare_and_hash_equal():
+    m = ModMatrix([[1, 2], [0, 1]], 3)
+    same = ModMatrix([[4, -1], [3, 1]], 3)
+    assert m == same and hash(m) == hash(same)
+    assert m != ModMatrix([[1, 2], [0, 2]], 3)
+    assert ModMatrix([[1, 0]], 3) != ModMatrix([[1, 0]], 5)
+    assert ModMatrix([], 3, cols=2) == ModMatrix([], 3, cols=2)
+    assert ModMatrix([], 3, cols=2) != ModMatrix([], 3, cols=4)
+    assert m != m.to_rows() and m != "ModMatrix"
+
+
 def test_entries_reduced_mod_d():
     m = ModMatrix([[5, -1]], 3)
     assert (m.entry(0, 0), m.entry(0, 1)) == (2, 2)

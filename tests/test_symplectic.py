@@ -152,6 +152,11 @@ def test_stacked_round_trip():
     assert QuantumCheckMatrix.from_stacked(h.stacked()) == h
 
 
+def test_stacked_form_needs_even_column_count():
+    with pytest.raises(ShapeError, match="even column count"):
+        QuantumCheckMatrix.from_stacked(BinMatrix.from_strings(["011"]))
+
+
 def test_empty_generator_set():
     h = QuantumCheckMatrix(BinMatrix.zeros(0, 2), BinMatrix.zeros(0, 2))
     assert ebit_count(h) == 0
@@ -432,7 +437,7 @@ def test_ebits_pipeline_time_bound_at_2048():
     elapsed = []
     for _ in range(3):
         start = time.perf_counter()
-        c = ebit_count(QuantumCheckMatrix(*parse_qcheck(text)))
+        c = ebit_count(parse_qcheck(text))
         elapsed.append(time.perf_counter() - start)
     assert c == 1023
     assert min(elapsed) < 0.7, f"ebits pipeline took {min(elapsed):.2f} s"
