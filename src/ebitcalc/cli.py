@@ -15,12 +15,16 @@ runs every command the same way: parse the arguments, check the flags
 and then the row's options, read each file and pass its text to the
 reader of its kind, run, and print.  So a bad option exits 1 before
 any file is opened, and only the readers call the parsers.
+
+The table also parses a plain command line (see ``_plain``); argparse
+parses every other one, so it alone writes help and usage errors, and a
+plain call never imports it.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import formats
 from .errors import EbitcalcError, InternalInvariantError, ParseError
@@ -30,6 +34,8 @@ from .errors import EbitcalcError, InternalInvariantError, ParseError
 # module-level TYPE_CHECKING as true.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    import argparse
+
     from .symplectic import CodeParameters
 
 __all__ = ["EXIT_OK", "EXIT_USAGE", "EXIT_PARSE", "EXIT_DOMAIN", "main"]
@@ -42,12 +48,6 @@ EXIT_DOMAIN = 3
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad usage; this CLI reserves 2 for parse errors.
-    def error(self, message):
-        raise _UsageError(message)
 
 
 def _read(path: str) -> str:
@@ -310,14 +310,61 @@ _COMMANDS = {
         _verify,
         [("qcheck", _arg("file", nargs="?", help="qcheck file"))],
         _arg("--random", type=int, metavar="COUNT", help="run a random sweep"),
-        _arg("--max-n", dest="max_n", type=int, help="largest qubit count"),
+        _arg("--max-n", type=int, help="largest qubit count"),
         _arg("--seed", type=int, help="sweep seed (default: ebitcalc.verify.DEFAULT_SEED)"),
         check=_check_verify,
     ),
 }
 
 
+def _plain(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of a plain command line, or None for argparse to parse.
+
+    Plain is a command name, then only exact flags and option names, each
+    option with a value not starting with ``-`` that its type takes, and as
+    many file names, none starting with ``-``, as the row takes.
+    """
+    row = _COMMANDS.get(argv[0]) if argv else None
+    if row is None:
+        return None
+    # option name -> (dest, type); argparse's dest drops the "--" and reads "-" as "_"
+    options = {n[0]: (n[0][2:].replace("-", "_"), spec["type"]) for n, spec in row.options}
+    fields = dict.fromkeys(dest for dest, _ in options.values())
+    fields.update(command=argv[0], json=False, quiet=False)
+    files = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("--json", "--quiet"):
+            fields[token[2:]] = True
+        elif token in options:
+            dest, convert = options[token]
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                fields[dest] = convert(value)
+            except ValueError:
+                return None
+        elif token.startswith("-"):
+            return None
+        else:
+            files.append(token)
+    positionals = [names[0] for _, (names, _) in row.files]
+    needed = sum(spec.get("nargs") != "?" for _, (_, spec) in row.files)
+    if not needed <= len(files) <= len(positionals):
+        return None
+    fields.update(zip(positionals, files + [None] * len(positionals)))
+    return SimpleNamespace(**fields)
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits 2 on bad usage; this CLI reserves 2 for parse errors.
+        def error(self, message):
+            raise _UsageError(message)
+
     parser = _Parser(
         prog="ebitcalc",
         description="Entanglement cost of stabilizer generator sets: "
@@ -337,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _plain(sys.argv[1:] if argv is None else argv) or _build_parser().parse_args(argv)
         row = _COMMANDS[args.command]
         if args.json and args.quiet:
             raise _UsageError("--json and --quiet cannot be given together")

@@ -13,15 +13,15 @@ from __future__ import annotations
 from functools import partial
 
 from .errors import DegreeLimitError, EbitcalcError, ParseError
-from .gf2 import BinMatrix, bits_to_word
 
-# numpy and the non-binary matrix kinds load inside the parsers that need
-# them, so the binary commands never import numpy.  Type checkers read a
-# module-level TYPE_CHECKING as true.
+# Each matrix kind, numpy and gf2 included, loads inside the parsers that
+# need it, so the binary commands never import numpy and the others never
+# import gf2.  Type checkers read a module-level TYPE_CHECKING as true.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
+    from .gf2 import BinMatrix
     from .gf4 import GF4Matrix
     from .laurent import LaurentMatrix, LaurentPoly
     from .qudit import ModMatrix
@@ -116,11 +116,12 @@ def _read_rows(text: str, tag: str, ints: int, entry, pair: bool = False) -> tup
     return header, [z_rows, x_rows]
 
 
-def _word(chunk: str, width: int, number: int, block: str) -> int:
+def _word(chunk: str, width: int, number: int, block: str, read) -> int:
+    """A binary row as the word that ``read`` (``gf2.bits_to_word``) packs."""
     if len(chunk) != width:
         raise ParseError(f"expected {width} binary digits, got {len(chunk)}", number)
     try:
-        return bits_to_word(chunk)
+        return read(chunk)
     except ValueError as err:
         raise ParseError(str(err), number) from None
 
@@ -168,7 +169,9 @@ def _reals(chunk: str, width: int, number: int, block: str) -> list[float]:
 
 def parse_gf2(text: str) -> BinMatrix:
     """Binary matrix: header ``gf2 <rows> <cols>`` then 0/1 rows."""
-    (rows, cols), (words,) = _read_rows(text, "gf2", 2, _word)
+    from .gf2 import BinMatrix, bits_to_word
+
+    (rows, cols), (words,) = _read_rows(text, "gf2", 2, partial(_word, read=bits_to_word))
     return BinMatrix(rows, cols, words)
 
 
@@ -178,9 +181,11 @@ def parse_qcheck(text: str) -> QuantumCheckMatrix:
     Returns the ``QuantumCheckMatrix`` that the qcheck commands count, a
     named (Z, X) pair, so ``hz, hx = parse_qcheck(text)`` still unpacks.
     """
+    from .gf2 import BinMatrix, bits_to_word
     from .symplectic import QuantumCheckMatrix
 
-    (generators, n), (z_words, x_words) = _read_rows(text, "qcheck", 2, _word, pair=True)
+    word = partial(_word, read=bits_to_word)
+    (generators, n), (z_words, x_words) = _read_rows(text, "qcheck", 2, word, pair=True)
     return QuantumCheckMatrix(BinMatrix(generators, n, z_words), BinMatrix(generators, n, x_words))
 
 

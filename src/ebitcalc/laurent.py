@@ -13,7 +13,7 @@ so.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from operator import index
 
 from .errors import DegreeLimitError, InternalInvariantError, OddRankError, ShapeError, _dimension
@@ -261,7 +261,9 @@ def _aligned(rows: Sequence[Sequence[LaurentPoly]]) -> tuple[int, list[list]]:
 
 
 def _gram(
-    a_rows: Sequence[Sequence[LaurentPoly]], b_rows: Sequence[Sequence[LaurentPoly]]
+    a_rows: Sequence[Sequence[LaurentPoly]],
+    b_rows: Sequence[Sequence[LaurentPoly]],
+    mirror: Callable[[LaurentPoly], LaurentPoly] | None = None,
 ) -> LaurentMatrix:
     """The matrix whose (i, j) entry is sum_k a_rows[i][k] * b_rows[j][k](D^-1).
 
@@ -269,23 +271,29 @@ def _gram(
     matrix has the same offset, so an entry's products are XOR-summed as
     plain ints, plane by plane as in ``LaurentPoly.__mul__``, and one
     polynomial is built per entry.  The b side is substituted D -> D^-1
-    before alignment.
+    before alignment.  A term of two binary entries costs one carry-less
+    product, as the other two are 0 and a repeat of it.  With ``mirror``,
+    only the entries with i <= j are computed and (j, i) is ``mirror`` of
+    (i, j): ``subs_inverse`` for the shifted product matrix, as M(D) ==
+    M^T(D^-1), and conj then ``subs_inverse`` for H(D) H^dagger(D^-1).
     """
     a_base, left = _aligned(a_rows)
     b_base, right = _aligned([[p.subs_inverse() for p in row] for row in b_rows])
     base = a_base + b_base
-    grid = []
-    for a in left:
-        row = []
-        for b in right:
+    grid = [[_ZERO] * len(right) for _ in left]
+    for i, a in enumerate(left):
+        for j in range(i if mirror else 0, len(right)):
             lo = hi = 0
-            for x, y in zip(a, b):
+            for x, y in zip(a, right[j]):
                 if x and y:
                     low = _clmul(x[0], y[0])
-                    lo ^= low ^ _clmul(x[1], y[1])
-                    hi ^= _clmul(x[0] ^ x[1], y[0] ^ y[1]) ^ low
-            row.append(_make(*_stored_form(lo, hi, base)))
-        grid.append(row)
+                    if x[1] or y[1]:
+                        lo ^= _clmul(x[1], y[1])
+                        hi ^= _clmul(x[0] ^ x[1], y[0] ^ y[1]) ^ low
+                    lo ^= low
+            grid[i][j] = entry = _make(*_stored_form(lo, hi, base))
+            if mirror and j > i:
+                grid[j][i] = mirror(entry)
     return LaurentMatrix(grid, cols=len(right))
 
 
@@ -299,9 +307,8 @@ def shifted_symplectic_matrix(hz: LaurentMatrix, hx: LaurentMatrix) -> LaurentMa
     if (hz.rows, hz.cols) != (hx.rows, hx.cols):
         raise ShapeError("Z and X parts must have identical shape")
     z_rows, x_rows = hz._entries, hx._entries
-    return _gram(
-        [x + z for x, z in zip(x_rows, z_rows)], [z + x for z, x in zip(z_rows, x_rows)]
-    )
+    a_rows = [x + z for x, z in zip(x_rows, z_rows)]
+    return _gram(a_rows, [z + x for z, x in zip(z_rows, x_rows)], LaurentPoly.subs_inverse)
 
 
 def _exact_quotient(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -405,7 +412,8 @@ def gf4_conv_ebits(h: LaurentMatrix) -> int:
     D -> D^-1 substitution applies to the conjugated transpose.
     """
     rows = h._entries
-    return laurent_rank(_gram(rows, [[p.conj() for p in row] for row in rows]))
+    conj_rows = [[p.conj() for p in row] for row in rows]
+    return laurent_rank(_gram(rows, conj_rows, lambda p: p.conj().subs_inverse()))
 
 
 def css_conv_ebits(h1: LaurentMatrix, h2: LaurentMatrix) -> int:

@@ -16,7 +16,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ebitcalc import symplectic, verify
-from ebitcalc.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
+from ebitcalc.cli import (
+    _COMMANDS,
+    EXIT_DOMAIN,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_USAGE,
+    _build_parser,
+    _plain,
+    _UsageError,
+    main,
+)
 
 DATA = Path(__file__).parent / "data"
 # Child interpreters import this tree's sources, never an installed copy.
@@ -627,6 +637,122 @@ def test_binary_commands_do_not_import_numpy(tmp_path):
         env=CHILD_ENV,
     )
     assert result.stdout.splitlines()[-1] == f"{[0] * len(commands)} []"
+
+
+def _modules_loaded(argvs, *modules):
+    """Exit codes of ``main`` on each argv in one child interpreter, then
+    which of ``modules`` it loaded, as the child prints them."""
+    script = (
+        "import sys\n"
+        "from ebitcalc.cli import main\n"
+        "def code(argv):\n"
+        "    try:\n"
+        "        return main(argv)\n"
+        "    except SystemExit as exit:\n"
+        "        return exit.code\n"
+        f"codes = [code(argv) for argv in {argvs!r}]\n"
+        "print(codes, [m for m in sys.argv[1:] if m in sys.modules])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, *modules],
+        capture_output=True,
+        env=CHILD_ENV,
+        text=True,
+        check=True,
+    )
+    return result.stdout.splitlines()[-1]
+
+
+def test_plain_command_lines_load_neither_argparse_nor_gf2():
+    # The command table reads a plain command line, so argparse, with the
+    # gettext and locale it loads, runs only for help and usage errors.
+    # Only the binary readers load gf2, so the other input kinds never do.
+    names = ("fivequbit.qcheck", "hamming74.gf2", "example.gf4")
+    qcheck, gf2, gf4 = (str(DATA / name) for name in names)
+    non_binary = [
+        ["qudit", str(DATA / "pair3.qcheckd")],
+        ["cv", str(DATA / "pair.cvcheck"), "--tol", "1e-9"],
+        ["conv", str(DATA / "conv5x5.conv")],
+        ["conv4", str(DATA / "hd.conv4")],
+        ["conv-css", str(DATA / "h1mat.conv"), str(DATA / "h2mat.conv")],
+    ]
+    plain = [
+        ["ebits", qcheck],
+        ["params", qcheck],
+        ["sgsop", qcheck],
+        ["css", gf2, "--d1", "3", gf2, "--d2", "3"],
+        ["gf4", gf4],
+        ["gf4-expand", gf4],
+        *non_binary,
+        ["verify", qcheck],
+        ["verify", "--random", "3", "--max-n", "4", "--seed", "5"],
+    ]
+    assert {argv[0] for argv in plain} == set(_COMMANDS)
+    plain = [[*argv, "--json"] for argv in plain]
+    assert _modules_loaded(plain, "argparse", "gettext", "locale") == f"{[0] * len(plain)} []"
+    non_binary = [[*argv, "--json"] for argv in non_binary]
+    assert _modules_loaded(non_binary, "ebitcalc.gf2") == f"{[0] * len(non_binary)} []"
+    # help and an abbreviated flag are argparse's to read
+    for argv in (["ebits", "--help"], ["ebits", "--js", qcheck]):
+        assert _modules_loaded([argv], "argparse") == "[0] ['argparse']"
+
+
+COMMAND_OPTIONS = sorted({names[0] for row in _COMMANDS.values() for names, _ in row.options})
+OPTION_VALUES = ["3", "12", "1e-9", "0", "-5", "nan", "1_0", "", "x"]
+FILE_NAMES = ["a.txt", "b.txt", "c.txt"]
+_argv_tokens = st.one_of(
+    st.sampled_from([*_COMMANDS, "--json", "--quiet", "-h", "--help", "--", "-", "--js"]),
+    st.sampled_from(COMMAND_OPTIONS),
+    st.builds("{}={}".format, st.sampled_from(COMMAND_OPTIONS), st.sampled_from(OPTION_VALUES)),
+    st.sampled_from(OPTION_VALUES),
+    st.sampled_from(FILE_NAMES),
+)
+
+
+@st.composite
+def _command_lines(draw):
+    """Mostly a command name, then file names, flags and options with
+    values in any order: half the lines have the command's number of files
+    and only its own options, half take any token anywhere."""
+    head = draw(_argv_tokens if draw(st.integers(0, 4)) == 0 else st.sampled_from(list(_COMMANDS)))
+    row = _COMMANDS.get(head)
+    own = [names[0] for names, _ in row.options] if row else []
+    values = st.sampled_from(OPTION_VALUES)
+    parts = [st.sampled_from(["--json", "--quiet"]).map(lambda flag: [flag])]
+    parts += [st.tuples(st.sampled_from(own), values)] if own else []
+    files = len(row.files) if row else 1
+    if draw(st.booleans()):
+        parts += [_argv_tokens.map(lambda token: [token])]
+        parts += [st.tuples(st.sampled_from(COMMAND_OPTIONS), values)]
+        files = draw(st.integers(0, 3))
+    names = [[draw(st.sampled_from(FILE_NAMES))] for _ in range(files)]
+    order = draw(st.permutations([*names, *draw(st.lists(st.one_of(parts), max_size=4))]))
+    return [head, *(token for part in order for token in part)]
+
+
+@settings(derandomize=True, max_examples=500)
+@given(_command_lines())
+@example(["css", "a.txt", "--d1", "1_0", "b.txt", "--d2", "3", "--json"])
+@example(["cv", "a.txt", "--tol", "nan", "--quiet"])
+@example(["verify", "--random", "2", "--max-n", "3", "--random", "4"])
+@example(["verify", "--seed", "3", "a.txt", "--json", "--json"])
+@example(["verify", "--seed", "-3", "a.txt"])
+@example(["conv", "--json", "--", "a.txt"])
+@example(["ebits", ""])
+@example([])
+def test_plain_command_lines_parse_as_argparse_does_property(argv):
+    # Where argparse fails or prints help, the plain path must return
+    # nothing, so every help and error text still comes from argparse.
+    args = _plain(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            namespace = _build_parser().parse_args(argv)
+    except (_UsageError, SystemExit):
+        assert args is None
+        return
+    if args is not None:
+        # repr, as nan from --tol nan equals no float
+        assert repr(sorted(vars(args).items())) == repr(sorted(vars(namespace).items()))
 
 
 def test_text_output_loads_neither_json_nor_a_codec():

@@ -4,12 +4,14 @@ import random
 import re
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ebitcalc import laurent
 from ebitcalc.classical import gf4_ebits
 from ebitcalc.errors import DegreeLimitError, InternalInvariantError, OddRankError, ShapeError
 from ebitcalc.formats import parse_conv_pair, parse_poly
@@ -390,11 +392,16 @@ def _reference_gram(a_rows, b_rows) -> list[list[dict]]:
     ]
 
 
+def _entry_terms(m: LaurentMatrix) -> list[list[dict]]:
+    return [[m.entry(i, j).terms() for j in range(m.cols)] for i in range(m.rows)]
+
+
 @settings(derandomize=True, max_examples=60)
 @given(
     st.integers(0, 4).flatmap(
         lambda k: st.tuples(
-            _grids(True, cols=k), st.one_of(_grids(False, cols=k), _grids(True, cols=k))
+            st.one_of(_grids(False, cols=k), _grids(True, cols=k)),
+            st.one_of(_grids(False, cols=k), _grids(True, cols=k)),
         )
     )
 )
@@ -413,9 +420,42 @@ def test_gram_matches_dict_reference_property(pair):
     a, b = pair
     product = _gram(a._entries, b._entries)
     assert (product.rows, product.cols) == (a.rows, b.rows)
-    assert [
-        [product.entry(i, j).terms() for j in range(b.rows)] for i in range(a.rows)
-    ] == _reference_gram(a._entries, b._entries)
+    assert _entry_terms(product) == _reference_gram(a._entries, b._entries)
+
+
+@st.composite
+def _generator_pairs(draw):
+    generators, n = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    return tuple(draw(_grids(False, rows=generators, cols=n)) for _ in "zx")
+
+
+@settings(derandomize=True, max_examples=60)
+@given(_generator_pairs(), _grids(True))
+@example((LaurentMatrix.zeros(0, 2), LaurentMatrix.zeros(0, 2)), LaurentMatrix.zeros(0, 3))
+# shifted and w-weighted entries off the diagonal, for both products
+@example(
+    (
+        LaurentMatrix([[parse_poly("D")], [parse_poly("1")]]),
+        LaurentMatrix([[parse_poly("1+D^2")], [parse_poly("D^-1")]]),
+    ),
+    LaurentMatrix(
+        [[LaurentPoly([(1, 2)]), LaurentPoly.one()], [LaurentPoly.one(), LaurentPoly([(0, 3)])]]
+    ),
+)
+def test_mirrored_products_match_dict_reference_property(pair, h):
+    # Both products compute only the entries on and above the diagonal and
+    # mirror the rest; every entry must still be the product it names.
+    z_rows, x_rows = pair[0]._entries, pair[1]._entries
+    assert _entry_terms(shifted_symplectic_matrix(*pair)) == _reference_gram(
+        [x + z for x, z in zip(x_rows, z_rows)], [z + x for z, x in zip(z_rows, x_rows)]
+    )
+    products = []
+    with mock.patch.object(laurent, "laurent_rank", lambda m: products.append(m) or 0):
+        gf4_conv_ebits(h)
+    rows = h._entries
+    assert _entry_terms(products[0]) == _reference_gram(
+        rows, [[p.conj() for p in row] for row in rows]
+    )
 
 
 # Empty and single-entry shapes are tried on every run, not left to chance.
