@@ -191,10 +191,10 @@ def parse_qcheck(text: str) -> QuantumCheckMatrix:
 
 def parse_gf4(text: str) -> GF4Matrix:
     """Quaternary matrix: header ``gf4 <rows> <cols>`` then 0/1/w/v rows."""
-    from .gf4 import GF4Matrix, check_symbols
+    from .gf4 import _from_checked, check_symbols
 
     (_, cols), (rows,) = _read_rows(text, "gf4", 2, partial(_symbols, check=check_symbols))
-    return GF4Matrix.from_strings(rows, cols)
+    return _from_checked(rows, cols)
 
 
 def parse_qcheckd(text: str) -> tuple[ModMatrix, ModMatrix]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import InternalInvariantError, ShapeError
-from .gf2 import BinMatrix, rank
+from .gf2 import BinMatrix, _make, rank
 
 __all__ = ["gf4_mul", "check_symbols", "GF4Matrix", "gf4_rank"]
 
@@ -125,6 +125,16 @@ class GF4Matrix:
             "".join(_SYMBOLS[int(a) | int(b) << 1] for a, b in zip(lo, hi))
             for lo, hi in zip(self.lo.to_strings(), self.hi.to_strings())
         )
+
+
+def _from_checked(lines: Sequence[str], cols: int) -> GF4Matrix:
+    """``GF4Matrix.from_strings`` of rows already checked to hold ``cols`` symbols each."""
+    # each plane packs as gf2.bits_to_word does, "or" giving a 0-column row the word 0
+    lo, hi = (
+        _make(len(lines), cols, tuple(int(line.translate(t)[::-1] or "0", 2) for line in lines))
+        for t in (_LO_DIGITS, _HI_DIGITS)
+    )
+    return GF4Matrix(lo, hi)
 
 
 def _regular(m: GF4Matrix) -> BinMatrix:

@@ -36,10 +36,7 @@ _COEFF_SYMBOL = {1: "1", 2: "w", 3: "v"}
 
 
 def _clmul(a: int, b: int) -> int:
-    """Carry-less product of two GF(2)[D] words.
-
-    One shift and XOR per set bit of the sparser operand.
-    """
+    """Carry-less product of two GF(2)[D] words: a shift and XOR per set bit of the sparser."""
     if a.bit_count() > b.bit_count():
         a, b = b, a
     acc = 0
@@ -48,6 +45,18 @@ def _clmul(a: int, b: int) -> int:
         acc ^= b << (low.bit_length() - 1)
         a ^= low
     return acc
+
+
+def _product(a0: int, a1: int, b0: int, b1: int) -> tuple[int, int]:
+    """Planes of (A0 + wA1)(B0 + wB1) in GF(4)[D], bit j the coefficient of D^j.
+
+    As w^2 = w + 1 it is (A0B0 + A1B1) + w((A0 + A1)(B0 + B1) + A0B0):
+    three carry-less products, or one when neither factor has a w plane.
+    """
+    low = _clmul(a0, b0)
+    if not (a1 or b1):
+        return low, 0
+    return low ^ _clmul(a1, b1), _clmul(a0 ^ a1, b0 ^ b1) ^ low
 
 
 class LaurentPoly:
@@ -128,18 +137,12 @@ class LaurentPoly:
         return _make(*_stored_form(lo, hi, base))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        """The product, by ``_product``; both constant terms are nonzero and
+        GF(4) has no zero divisors, so it is already in stored form."""
         a0, a1, b0, b1 = self.lo, self.hi, other.lo, other.hi
         if not (a0 or a1) or not (b0 or b1):
             return _ZERO
-        # Both constant terms are nonzero and GF(4) has no zero divisors,
-        # so the product is already in stored form.
-        offset = self.offset + other.offset
-        # (A0 + wA1)(B0 + wB1) = (A0B0 + A1B1) + w((A0 + A1)(B0 + B1) + A0B0):
-        # three carry-less products, as w^2 = w + 1.
-        low = _clmul(a0, b0)
-        high = _clmul(a1, b1)
-        mixed = _clmul(a0 ^ a1, b0 ^ b1)
-        return _make(low ^ high, mixed ^ low, offset)
+        return _make(*_product(a0, a1, b0, b1), self.offset + other.offset)
 
     def subs_inverse(self) -> "LaurentPoly":
         """Substitute D -> D^-1 (negate every exponent)."""
@@ -268,11 +271,9 @@ def _gram(
     """The matrix whose (i, j) entry is sum_k a_rows[i][k] * b_rows[j][k](D^-1).
 
     With each side aligned to its own least offset, every product in the
-    matrix has the same offset, so an entry's products are XOR-summed as
-    plain ints, plane by plane as in ``LaurentPoly.__mul__``, and one
-    polynomial is built per entry.  The b side is substituted D -> D^-1
-    before alignment.  A term of two binary entries costs one carry-less
-    product, as the other two are 0 and a repeat of it.  With ``mirror``,
+    matrix has the same offset, so an entry's ``_product`` planes are
+    XOR-summed as plain ints and one polynomial is built per entry.  The b
+    side is substituted D -> D^-1 before alignment.  With ``mirror``,
     only the entries with i <= j are computed and (j, i) is ``mirror`` of
     (i, j): ``subs_inverse`` for the shifted product matrix, as M(D) ==
     M^T(D^-1), and conj then ``subs_inverse`` for H(D) H^dagger(D^-1).
@@ -286,11 +287,9 @@ def _gram(
             lo = hi = 0
             for x, y in zip(a, right[j]):
                 if x and y:
-                    low = _clmul(x[0], y[0])
-                    if x[1] or y[1]:
-                        lo ^= _clmul(x[1], y[1])
-                        hi ^= _clmul(x[0] ^ x[1], y[0] ^ y[1]) ^ low
+                    low, high = _product(x[0], x[1], y[0], y[1])
                     lo ^= low
+                    hi ^= high
             grid[i][j] = entry = _make(*_stored_form(lo, hi, base))
             if mirror and j > i:
                 grid[j][i] = mirror(entry)
@@ -316,8 +315,9 @@ def _exact_quotient(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
     In stored form both are D^offset times a polynomial with a nonzero
     constant term, so the quotient is a long division from the low end by
-    shift and XOR.  A nonzero remainder raises: it means the elimination
-    that asked for the division is wrong, and truncating would hide that.
+    shifted ``_product`` multiples of ``b``.  A nonzero remainder raises: it
+    means the elimination that asked for the division is wrong, and
+    truncating would hide that.
     """
     b0, b1 = b.lo, b.hi
     if not (b0 or b1):
@@ -326,10 +326,10 @@ def _exact_quotient(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if not (r0 or r1):
         return _ZERO
     top = (r0 | r1).bit_length() - (b0 | b1).bit_length()  # quotient degree
-    # s*b for s = 1, w, v, keyed by their constant coefficient:
-    # w(a + wb) = b + w(a + b) and v(a + wb) = (a + b) + wa.
+    # s*b for s = 1, w, v = 1 + w, keyed by their constant coefficient
+    w0, w1 = _product(0, 1, b0, b1)
     multiples = {}
-    for s, m0, m1 in ((1, b0, b1), (2, b1, b0 ^ b1), (3, b0 ^ b1, b0)):
+    for s, m0, m1 in ((1, b0, b1), (2, w0, w1), (3, b0 ^ w0, b1 ^ w1)):
         multiples[(m0 & 1) | (m1 & 1) << 1] = s, m0, m1
     q0 = q1 = 0
     while r0 or r1:

@@ -1,11 +1,13 @@
 """Tests for the text matrix formats."""
 
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ebitcalc import gf4
 from ebitcalc.errors import ParseError
 from ebitcalc.formats import (
     format_qcheck,
@@ -19,6 +21,7 @@ from ebitcalc.formats import (
     parse_qcheckd,
 )
 from ebitcalc.gf2 import BinMatrix
+from ebitcalc.gf4 import GF4Matrix
 from ebitcalc.laurent import LaurentPoly
 from ebitcalc.symplectic import QuantumCheckMatrix
 
@@ -161,6 +164,16 @@ def test_gf4_parse():
     assert str(m).split("\n") == ["10w1", "01vw"]
     with pytest.raises(ParseError, match="invalid GF\\(4\\) symbol"):
         parse_gf4("gf4 1 2\n1z\n")
+
+
+def test_gf4_parse_checks_each_row_once():
+    # The parser's check names the line; the planes are then built from the
+    # rows it accepted, without GF4Matrix.from_strings checking them again.
+    with mock.patch.object(gf4, "check_symbols", wraps=gf4.check_symbols) as check:
+        m = parse_gf4("gf4 3 4\n10w1\n01vw\nwv00\n")
+    assert check.call_count == 3
+    assert m == GF4Matrix.from_strings(["10w1", "01vw", "wv00"])
+    assert parse_gf4("gf4 2 0\n\n\n") == GF4Matrix.zeros(2, 0)
 
 
 def test_qcheckd_parse():

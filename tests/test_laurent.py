@@ -1,5 +1,6 @@
 """Tests for delay-polynomial matrices and the convolutional count formulas."""
 
+import ast
 import random
 import re
 import time
@@ -350,6 +351,55 @@ def test_poly_operations_match_dict_reference_property(ta, tb):
     assert parse_poly(str(a), gf4=True) == a
 
 
+def _plane_terms(lo: int, hi: int) -> dict[int, int]:
+    """Coefficient of every nonzero term of the planes, bit j at exponent j."""
+    return _merge((j, (lo >> j & 1) | (hi >> j & 1) << 1) for j in range((lo | hi).bit_length()))
+
+
+planes = st.integers(0, (1 << 24) - 1)
+
+
+@pytest.mark.parametrize(
+    "a_has_w,b_has_w", [(0, 0), (0, 1), (1, 1)], ids=["binary*binary", "binary*gf4", "gf4*gf4"]
+)
+@settings(derandomize=True, max_examples=100)
+@given(words=st.tuples(planes, planes, planes, planes))
+@example(words=(0, 0, 0, 0))
+@example(words=(1, 1, 1, 1))
+def test_product_matches_term_convolution_property(a_has_w, b_has_w, words):
+    a0, a1, b0, b1 = words
+    a1, b1 = a1 * a_has_w, b1 * b_has_w
+    lo, hi = laurent._product(a0, a1, b0, b1)
+    assert _plane_terms(lo, hi) == _reference_product(_plane_terms(a0, a1), _plane_terms(b0, b1))
+
+
+def test_product_is_the_only_caller_of_clmul():
+    # The GF(4)[D] product rule is written once: every carry-less product
+    # in the module, of __mul__, _gram and _exact_quotient alike, is _product's.
+    tree = ast.parse(Path(laurent.__file__).read_text())
+    callers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == "_clmul"
+    }
+    assert callers == {"_product"}
+
+
+@pytest.mark.parametrize(
+    "a,b,calls",
+    [("1+D^2", "D^-1+D^3", 1), ("1+w*D^2", "D^-1+D^3", 3), ("D", "v", 3)],
+    ids=["binary", "w-factor", "v-factor"],
+)
+def test_binary_product_costs_one_clmul_and_gf4_three(a, b, calls):
+    a, b = parse_poly(a, gf4=True), parse_poly(b, gf4=True)
+    with mock.patch.object(laurent, "_clmul", wraps=laurent._clmul) as clmul:
+        product = a * b
+    assert clmul.call_count == calls
+    assert product.terms() == _reference_product(a.terms(), b.terms())
+
+
 def _grids(gf4: bool, rows=None, cols=None, max_side=5):
     side = st.integers(0, max_side)
     coeff = st.integers(1, 3) if gf4 else st.just(1)
@@ -626,19 +676,36 @@ def test_rank_ten_conv_set_time_bound(seed):
     assert time.perf_counter() - start < 1.0
 
 
-def test_exact_quotient_divides_or_raises():
-    one_plus_d = parse_poly("1+D")
-    a = parse_poly("D^-3+D^5") * LaurentPoly([(2, 2)])
-    v_d4 = LaurentPoly([(4, 3)])
-    assert _exact_quotient(a * one_plus_d, one_plus_d) == a
-    assert _exact_quotient(a, v_d4) * v_d4 == a
-    assert not _exact_quotient(LaurentPoly.zero(), one_plus_d)
+def _polys(gf4: bool, exponents=st.integers(-8, 8)):
+    coeff = st.integers(1, 3) if gf4 else st.just(1)
+    return st.lists(st.tuples(exponents, coeff), max_size=5).map(LaurentPoly)
+
+
+@st.composite
+def _divisors(draw):
+    """A nonzero polynomial whose lowest coefficient is 1, w or v (1 if binary)."""
+    lead = draw(st.integers(1, 3))
+    low = draw(st.integers(-8, 8))
+    rest = draw(_polys(lead != 1 or draw(st.booleans()), st.integers(1, 8)))
+    return LaurentPoly([(low, lead)]) + rest * LaurentPoly([(low, 1)])
+
+
+@settings(derandomize=True, max_examples=200)
+@given(a=st.one_of(_polys(False), _polys(True)), b=_divisors())
+@example(a=parse_poly("D^-3+D^5") * LaurentPoly([(2, 2)]), b=ONE_PLUS_D)
+@example(a=LaurentPoly([(-3, 1), (1, 2)]), b=LaurentPoly([(4, 3)]))
+@example(a=LaurentPoly.zero(), b=ONE_PLUS_D)
+def test_exact_quotient_divides_or_raises(a, b):
+    assert _exact_quotient(a * b, b) == a
+    if b.max_exp() > b.min_exp():  # no unit, so b does not divide a * b + 1
+        with pytest.raises(InternalInvariantError):
+            _exact_quotient(a * b + LaurentPoly.one(), b)
     with pytest.raises(InternalInvariantError):
-        _exact_quotient(parse_poly("1+D^2+D^3"), one_plus_d)
+        _exact_quotient(parse_poly("1+D^2+D^3"), ONE_PLUS_D)
     with pytest.raises(InternalInvariantError):
-        _exact_quotient(one_plus_d, parse_poly("1+D+D^2"))
+        _exact_quotient(ONE_PLUS_D, parse_poly("1+D+D^2"))
     # 1 + wD^2 is w, not 0, at v, the root of 1 + wD
     with pytest.raises(InternalInvariantError):
         _exact_quotient(LaurentPoly([(0, 1), (2, 2)]), LaurentPoly([(0, 1), (1, 2)]))
     with pytest.raises(InternalInvariantError):
-        _exact_quotient(one_plus_d, LaurentPoly.zero())
+        _exact_quotient(ONE_PLUS_D, LaurentPoly.zero())
