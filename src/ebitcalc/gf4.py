@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import InternalInvariantError, ShapeError
+from .errors import InternalInvariantError, ShapeError, _dimension
 from .gf2 import BinMatrix, _make, rank
 
 __all__ = ["gf4_mul", "check_symbols", "GF4Matrix", "gf4_rank"]
@@ -66,10 +66,12 @@ class GF4Matrix:
         """Build from strings over the alphabet 0, 1, w, v, one row per string."""
         for line in lines:
             check_symbols(line)
-        return cls(
-            BinMatrix.from_strings([line.translate(_LO_DIGITS) for line in lines], cols),
-            BinMatrix.from_strings([line.translate(_HI_DIGITS) for line in lines], cols),
-        )
+        if cols is None:
+            cols = len(lines[0]) if lines else 0
+        for i, line in enumerate(lines):
+            if len(line) != cols:
+                raise ShapeError(f"row {i} has {len(line)} entries, expected {cols}")
+        return _from_checked(lines, _dimension(cols))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "GF4Matrix":
@@ -128,7 +130,7 @@ class GF4Matrix:
 
 
 def _from_checked(lines: Sequence[str], cols: int) -> GF4Matrix:
-    """``GF4Matrix.from_strings`` of rows already checked to hold ``cols`` symbols each."""
+    """``GF4Matrix.from_strings`` without its checks: every row holds ``cols`` symbols."""
     # each plane packs as gf2.bits_to_word does, "or" giving a 0-column row the word 0
     lo, hi = (
         _make(len(lines), cols, tuple(int(line.translate(t)[::-1] or "0", 2) for line in lines))

@@ -36,7 +36,10 @@ _COEFF_SYMBOL = {1: "1", 2: "w", 3: "v"}
 
 
 def _clmul(a: int, b: int) -> int:
-    """Carry-less product of two GF(2)[D] words: a shift and XOR per set bit of the sparser."""
+    """Carry-less product of two GF(2)[D] words.
+
+    One shift and XOR per set bit of the sparser operand.
+    """
     if a.bit_count() > b.bit_count():
         a, b = b, a
     acc = 0
@@ -310,41 +313,47 @@ def shifted_symplectic_matrix(hz: LaurentMatrix, hx: LaurentMatrix) -> LaurentMa
     return _gram(a_rows, [z + x for z, x in zip(z_rows, x_rows)], LaurentPoly.subs_inverse)
 
 
-def _exact_quotient(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """``a / b`` in GF(4)[D, D^-1], where ``b`` must divide ``a``.
+def _exact_divider(b: LaurentPoly) -> Callable[[LaurentPoly], LaurentPoly]:
+    """``a -> a / b`` in GF(4)[D, D^-1], for every ``a`` that ``b`` divides.
 
     In stored form both are D^offset times a polynomial with a nonzero
     constant term, so the quotient is a long division from the low end by
-    shifted ``_product`` multiples of ``b``.  A nonzero remainder raises: it
-    means the elimination that asked for the division is wrong, and
-    truncating would hide that.
+    shifted multiples s*b, s = 1, w, v = 1 + w, built once for all the
+    divisions by ``b``.  A nonzero remainder raises: it means the
+    elimination that asked for the division is wrong, and truncating
+    would hide that.
     """
     b0, b1 = b.lo, b.hi
     if not (b0 or b1):
         raise InternalInvariantError("exact division by the zero polynomial")
-    r0, r1 = a.lo, a.hi
-    if not (r0 or r1):
-        return _ZERO
-    top = (r0 | r1).bit_length() - (b0 | b1).bit_length()  # quotient degree
-    # s*b for s = 1, w, v = 1 + w, keyed by their constant coefficient
+    width = (b0 | b1).bit_length()
     w0, w1 = _product(0, 1, b0, b1)
+    # s*b keyed by its constant coefficient
     multiples = {}
     for s, m0, m1 in ((1, b0, b1), (2, w0, w1), (3, b0 ^ w0, b1 ^ w1)):
         multiples[(m0 & 1) | (m1 & 1) << 1] = s, m0, m1
-    q0 = q1 = 0
-    while r0 or r1:
-        rest = r0 | r1
-        j = (rest & -rest).bit_length() - 1
-        if j > top:
-            break
-        s, m0, m1 = multiples[(r0 >> j & 1) | (r1 >> j & 1) << 1]
-        r0 ^= m0 << j
-        r1 ^= m1 << j
-        q0 |= (s & 1) << j
-        q1 |= (s >> 1) << j
-    if r0 or r1:
-        raise InternalInvariantError(f"{b} does not divide {a}")
-    return _make(q0, q1, a.offset - b.offset)
+
+    def divide(a: LaurentPoly) -> LaurentPoly:
+        r0, r1 = a.lo, a.hi
+        if not (r0 or r1):
+            return _ZERO
+        top = (r0 | r1).bit_length() - width  # quotient degree
+        q0 = q1 = 0
+        while r0 or r1:
+            rest = r0 | r1
+            j = (rest & -rest).bit_length() - 1
+            if j > top:
+                break
+            s, m0, m1 = multiples[(r0 >> j & 1) | (r1 >> j & 1) << 1]
+            r0 ^= m0 << j
+            r1 ^= m1 << j
+            q0 |= (s & 1) << j
+            q1 |= (s >> 1) << j
+        if r0 or r1:
+            raise InternalInvariantError(f"{b} does not divide {a}")
+        return _make(q0, q1, a.offset - b.offset)
+
+    return divide
 
 
 def laurent_rank(m: LaurentMatrix) -> int:
@@ -374,13 +383,12 @@ def laurent_rank(m: LaurentMatrix) -> int:
         work[rank], work[best] = work[best], work[rank]
         pivot_row = work[rank]
         pivot = pivot_row[col]
+        divide = _exact_divider(previous)
         for r in range(rank + 1, nrows):
             row = work[r]
             entry = row[col]
             for j in range(col + 1, ncols):
-                row[j] = _exact_quotient(
-                    pivot * row[j] + entry * pivot_row[j], previous
-                )
+                row[j] = divide(pivot * row[j] + entry * pivot_row[j])
         previous = pivot
         rank += 1
         if rank == nrows:

@@ -149,6 +149,24 @@ def test_entries_validated():
         GF4Matrix.from_strings(["04"])
 
 
+@pytest.mark.parametrize(
+    "lines,cols,error,message",
+    [
+        (["01", "w"], None, ShapeError, "row 1 has 1 entries, expected 2"),
+        (["01", "wv"], 3, ShapeError, "row 0 has 2 entries, expected 3"),
+        (["0", "1w4"], None, ValueError, "invalid GF(4) symbol '4'"),  # symbols first
+        ([], -1, ShapeError, "matrix dimensions must be nonnegative integers, got -1"),
+    ],
+)
+def test_from_strings_checks_symbols_then_widths(lines, cols, error, message):
+    # The parser skips these checks; library callers keep every one of them.
+    with pytest.raises(ValueError) as info:
+        GF4Matrix.from_strings(lines, cols)
+    assert (info.type, str(info.value)) == (error, message)
+    assert GF4Matrix.from_strings(["", ""], 0) == GF4Matrix.zeros(2, 0)
+    assert GF4Matrix.from_strings([]) == GF4Matrix.zeros(0, 0)
+
+
 def test_rank_rejects_an_odd_binary_rank(monkeypatch):
     # The rows of M and w*M span a GF(4) space, so their GF(2) rank is
     # even; halving an odd one would silently truncate.

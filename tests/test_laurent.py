@@ -21,7 +21,7 @@ from ebitcalc.gf4 import GF4Matrix, gf4_mul, gf4_rank
 from ebitcalc.laurent import (
     LaurentMatrix,
     LaurentPoly,
-    _exact_quotient,
+    _exact_divider,
     _gram,
     conv_ebits,
     css_conv_ebits,
@@ -375,7 +375,7 @@ def test_product_matches_term_convolution_property(a_has_w, b_has_w, words):
 
 def test_product_is_the_only_caller_of_clmul():
     # The GF(4)[D] product rule is written once: every carry-less product
-    # in the module, of __mul__, _gram and _exact_quotient alike, is _product's.
+    # in the module, of __mul__, _gram and _exact_divider alike, is _product's.
     tree = ast.parse(Path(laurent.__file__).read_text())
     callers = {
         fn.name
@@ -676,6 +676,21 @@ def test_rank_ten_conv_set_time_bound(seed):
     assert time.perf_counter() - start < 1.0
 
 
+def test_rank_builds_one_divider_per_pivot_step():
+    # Every division of one Bareiss step is by the previous pivot, so its
+    # table of s * previous (s = 1, w, v) is built once for the step.
+    rows = ("1+D w D^2", "D 1 w+D", "v 1+D^3 1")
+    m = LaurentMatrix([[parse_poly(e, gf4=True) for e in row.split()] for row in rows])
+    with mock.patch.object(laurent, "_exact_divider", wraps=_exact_divider) as divider:
+        assert laurent_rank(m) == 3
+    # the pivots are D, then D * w + (1 + D) * 1 = 1 + v*D
+    assert [c.args for c in divider.call_args_list] == [
+        (LaurentPoly.one(),),
+        (parse_poly("D"),),
+        (parse_poly("1+v*D", gf4=True),),
+    ]
+
+
 def _polys(gf4: bool, exponents=st.integers(-8, 8)):
     coeff = st.integers(1, 3) if gf4 else st.just(1)
     return st.lists(st.tuples(exponents, coeff), max_size=5).map(LaurentPoly)
@@ -696,16 +711,17 @@ def _divisors(draw):
 @example(a=LaurentPoly([(-3, 1), (1, 2)]), b=LaurentPoly([(4, 3)]))
 @example(a=LaurentPoly.zero(), b=ONE_PLUS_D)
 def test_exact_quotient_divides_or_raises(a, b):
-    assert _exact_quotient(a * b, b) == a
+    divide = _exact_divider(b)
+    assert divide(a * b) == a
     if b.max_exp() > b.min_exp():  # no unit, so b does not divide a * b + 1
         with pytest.raises(InternalInvariantError):
-            _exact_quotient(a * b + LaurentPoly.one(), b)
+            divide(a * b + LaurentPoly.one())
     with pytest.raises(InternalInvariantError):
-        _exact_quotient(parse_poly("1+D^2+D^3"), ONE_PLUS_D)
+        _exact_divider(ONE_PLUS_D)(parse_poly("1+D^2+D^3"))
     with pytest.raises(InternalInvariantError):
-        _exact_quotient(ONE_PLUS_D, parse_poly("1+D+D^2"))
+        _exact_divider(parse_poly("1+D+D^2"))(ONE_PLUS_D)
     # 1 + wD^2 is w, not 0, at v, the root of 1 + wD
     with pytest.raises(InternalInvariantError):
-        _exact_quotient(LaurentPoly([(0, 1), (2, 2)]), LaurentPoly([(0, 1), (1, 2)]))
+        _exact_divider(LaurentPoly([(0, 1), (1, 2)]))(LaurentPoly([(0, 1), (2, 2)]))
     with pytest.raises(InternalInvariantError):
-        _exact_quotient(ONE_PLUS_D, LaurentPoly.zero())
+        _exact_divider(LaurentPoly.zero())(ONE_PLUS_D)
